@@ -52,8 +52,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_kinetic(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     solution = kinetic_solution(config, out)
+    out.mkdir(parents=True, exist_ok=True)
     for t, snap in zip(solution.times, solution.snapshots):
         density_to_csv(snap, out / f"density_t{format(float(t), '.6g')}.csv")
     print(

@@ -36,7 +36,7 @@ from . import torus
 from .initial import VelocityLaw
 from .kernels import Kernel, rate_normalization
 from .kinetic import KineticSolution, MassFunction
-from .particle import categorical, empirical_marginal
+from .particle import categorical, empirical_marginal, run_clock
 from .ranks import Configuration, partner_distribution
 
 _RESIDUAL_TOL = -1e-12
@@ -80,17 +80,8 @@ class SolutionReference:
         )
 
     def mass_function(self, t: float) -> MassFunction:
-        times = self.solution.times
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise ValueError(f"time {t} outside stored range [{times[0]}, {times[-1]}]")
-        idx = int(np.searchsorted(times, t))
-        if idx == 0:
-            cdf = self._edge_cdfs[0]
-        elif idx >= len(times):
-            cdf = self._edge_cdfs[-1]
-        else:
-            w = (t - times[idx - 1]) / (times[idx] - times[idx - 1])
-            cdf = (1.0 - w) * self._edge_cdfs[idx - 1] + w * self._edge_cdfs[idx]
+        lo, hi, w = self.solution.bracket(t)
+        cdf = (1.0 - w) * self._edge_cdfs[lo] + w * self._edge_cdfs[hi]
         return MassFunction.from_edge_cdf(cdf, self.grid.dx)
 
     def ball_mass(self, t: float, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -196,8 +187,6 @@ class CouplingDiagnostics:
     sigma_atom: int = 0
     fresh_draw: int = 0
     rescale_sum: float = 0.0
-    rescale_events: int = 0
-    row_dev_sum: float = 0.0
     partner_ranks: list = field(default_factory=list)
 
     @property
@@ -206,9 +195,6 @@ class CouplingDiagnostics:
 
     def rescale_mean(self) -> float:
         return self.rescale_sum / self.events if self.events else 0.0
-
-    def row_dev_mean(self) -> float:
-        return self.row_dev_sum / self.events if self.events else 0.0
 
 
 def coupled_event(
@@ -233,7 +219,6 @@ def coupled_event(
     radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
     pi_rho = alpha * np.asarray(kernel(reference.ball_mass(state.t, state.sigma.positions[i], radii)))
     pi_rho[i] = 0.0
-    diag.row_dev_sum += abs(float(pi_rho.sum()) - 1.0)
 
     lam = np.minimum(pi_n, pi_rho)
     big_lambda = float(lam.sum())
@@ -266,7 +251,6 @@ def coupled_event(
     if resid_mass >= available:
         # sigma-side atoms exceed the remaining probability: rescale and log
         diag.rescale_sum += resid_mass - available
-        diag.rescale_events += 1
         atom_prob = 1.0
     else:
         atom_prob = resid_mass / available if available > 0.0 else 0.0
@@ -435,7 +419,6 @@ class TrialRecord:
     sigma_only: np.ndarray
     fresh: np.ndarray
     rescale_mean: np.ndarray
-    row_dev_mean: np.ndarray
     event_count: int
     partner_ranks: np.ndarray
     final_z: Configuration
@@ -460,19 +443,13 @@ def run_coupled_trial(
     alpha = rate_normalization(kernel, n)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
-    pending = sorted(snapshot_times)
-    for s in pending:
-        if not 0.0 <= s <= horizon:
-            raise ValueError(f"snapshot time {s} outside [0, {horizon}]")
-
     x_edges = np.linspace(0.0, 1.0, tv_bins_x + 1) if tv_bins_x else None
-
     rows: list[tuple] = []
     z_snapshots: dict[float, Configuration] = {}
 
-    def snap(s: float) -> None:
-        z_now = state.z.transported(s - state.t)
-        sigma_now = state.sigma.transported(s - state.t)
+    def snapshot(s: float, t: float) -> None:
+        z_now = state.z.transported(s - t)
+        sigma_now = state.sigma.transported(s - t)
         if record_z_snapshots:
             z_snapshots[s] = z_now
         tv = (
@@ -491,24 +468,14 @@ def run_coupled_trial(
                 diag.sigma_atom,
                 diag.fresh_draw,
                 diag.rescale_mean(),
-                diag.row_dev_mean(),
             )
         )
 
-    t = 0.0
-    while True:
-        gap = rng.exponential(1.0 / n)
-        t_next = t + gap
-        while pending and pending[0] <= min(t_next, horizon):
-            snap(pending.pop(0))
-        if t_next > horizon:
-            state.transport(horizon - t)
-            break
-        state.transport(gap)
-        t = t_next
+    def event(t: float) -> None:
         coupled_event(state, kernel, reference, alpha, rng, diag, record_ranks=record_ranks)
 
-    cols = list(zip(*rows)) if rows else [[] for _ in range(10)]
+    run_clock(n, horizon, rng, snapshot_times, state.transport, snapshot, event)
+    cols = list(zip(*rows)) if rows else [[] for _ in range(9)]
     return TrialRecord(
         times=np.asarray(cols[0]),
         d_n=np.asarray(cols[1]),
@@ -519,7 +486,6 @@ def run_coupled_trial(
         sigma_only=np.asarray(cols[6], dtype=np.int64),
         fresh=np.asarray(cols[7], dtype=np.int64),
         rescale_mean=np.asarray(cols[8]),
-        row_dev_mean=np.asarray(cols[9]),
         event_count=diag.events,
         partner_ranks=np.asarray(diag.partner_ranks, dtype=np.int64),
         final_z=state.z,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ from .coupling import SolutionReference, TrialRecord, decoupling_bound, run_coup
 from .initial import InitialLaw, initial_law_from_json, sample_initial
 from .kernels import Kernel
 from .kinetic import (
+    SOLVER_VERSION,
     GridDensity,
     KineticSolution,
     PhaseGrid,
@@ -129,11 +131,13 @@ class ExperimentConfig:
             diffs = np.diff(self.n_values)
             if np.any(diffs <= 0) or min(self.n_values) < 2:
                 raise ConfigError("n_values must be strictly increasing and >= 2")
-        if self.snapshot_spacing > 10 * self.dt + 1e-12:
-            raise ConfigError("snapshot_spacing must not exceed 10 * dt")
+        if not 0.0 < self.snapshot_spacing <= 10 * self.dt + 1e-12:
+            raise ConfigError("snapshot_spacing must be positive and not exceed 10 * dt")
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.horizon:
                 raise ConfigError(f"snapshot time {t} outside [0, horizon]")
+        if self.tv_bins_x <= 0:
+            raise ConfigError(f"coupling.tv_bins_x must be >= 1, got {self.tv_bins_x}")
         if self.nx % self.tv_bins_x != 0:
             raise ConfigError("tv_bins_x must divide kinetic nx")
         if self.dimension == 1:
@@ -145,6 +149,14 @@ class ExperimentConfig:
                         f"velocity atom {atom} is not a v-grid cell center; "
                         "choose nv/v_max so atoms sit on centers"
                     )
+
+    def check_kinetic(self) -> None:
+        """Reject what the grid solver cannot serve; particle-only runs skip this."""
+        if self.dimension != 1:
+            raise ConfigError(f"the kinetic solver is one-dimensional, got d={self.dimension}")
+        count = round(self.horizon / self.snapshot_spacing)
+        if abs(count * self.snapshot_spacing - self.horizon) > 1e-9:
+            raise ConfigError(f"horizon {self.horizon} is not a multiple of snapshot_spacing")
 
     def grid(self) -> PhaseGrid:
         return PhaseGrid(nx=self.nx, nv=self.nv, v_max=self.v_max)
@@ -169,6 +181,7 @@ class ExperimentConfig:
                 "dt": self.dt,
                 "spacing": self.snapshot_spacing,
                 "horizon": self.horizon,
+                "solver": SOLVER_VERSION,
             },
             sort_keys=True,
         )
@@ -179,29 +192,40 @@ class ExperimentConfig:
 
 
 def kinetic_solution(config: ExperimentConfig, out_dir: Path | None) -> KineticSolution:
-    """Solve (or load from cache) the kinetic equation for this configuration."""
+    """Solve (or load from cache) the kinetic equation for this configuration.
+
+    A cache file with other snapshot times or shape is a miss and is replaced.
+    """
+    config.check_kinetic()
     grid = config.grid()
     times = config.kinetic_snapshot_times()
     cache_path = None
     if out_dir is not None:
         cache_path = Path(out_dir) / "cache" / f"kinetic_{config.kinetic_cache_key()}.npz"
         if cache_path.exists():
-            data = np.load(cache_path)
-            snaps = [
-                GridDensity(grid, data["values"][k], t=float(data["times"][k]))
-                for k in range(len(data["times"]))
-            ]
-            return KineticSolution(grid, data["times"], snaps, drift_total=float(data["drift"]))
+            with np.load(cache_path) as data:
+                stored, values = data["times"], data["values"]
+                fits = values.shape == (len(times), grid.nx, grid.nv)
+                if fits and np.array_equal(stored, times):
+                    snaps = [GridDensity(grid, v, t=float(s)) for s, v in zip(stored, values)]
+                    return KineticSolution(grid, stored, snaps, drift_total=float(data["drift"]))
     f0 = initial_density(config.initial, grid)
     solution = solve(f0, config.kernel, config.horizon, config.dt, times)
     if cache_path is not None:
+        # write beside the target, then rename: readers never see a partial file
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            cache_path,
-            times=solution.times,
-            values=np.stack([s.values for s in solution.snapshots]),
-            drift=solution.drift_total,
-        )
+        tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(
+                    fh,
+                    times=solution.times,
+                    values=np.stack([s.values for s in solution.snapshots]),
+                    drift=solution.drift_total,
+                )
+            os.replace(tmp, cache_path)
+        finally:
+            tmp.unlink(missing_ok=True)
     return solution
 
 
@@ -403,8 +427,8 @@ def run_convergence(
     if not config.n_values:
         raise ConfigError("convergence study needs convergence.n_values")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     solution = kinetic_solution(config, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     reference = SolutionReference(solution, config.kernel)
     snapshot_times = config.default_snapshot_times()
 
@@ -466,8 +490,8 @@ def run_particle_simulation(config: ExperimentConfig, out_dir: Path) -> Trajecto
 
 def run_single_coupled(config: ExperimentConfig, out_dir: Path) -> TrialRecord:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     solution = kinetic_solution(config, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     reference = SolutionReference(solution, config.kernel)
     record = _run_one_trial(config, reference, config.n, 0)
     write_trials_csv(out_dir / f"trials_n{config.n}.csv", config.n, [record])

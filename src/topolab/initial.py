@@ -149,9 +149,6 @@ class VelocityLaw:
         idx = rng.choice(self.atoms.shape[0], size=size, p=self.weights)
         return self.atoms[idx]
 
-    def max_speed(self) -> float:
-        return float(np.max(np.abs(self.atoms)))
-
     def cell_masses(self, edges: np.ndarray) -> np.ndarray:
         """Atom weights binned into 1-d velocity cells (d=1 only)."""
         if self.d != 1:

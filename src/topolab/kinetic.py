@@ -33,6 +33,9 @@ import numpy as np
 from .initial import InitialLaw
 from .kernels import Kernel
 
+# part of the kinetic cache key: bump it whenever a change can alter the output
+SOLVER_VERSION = 1
+
 _MASS_TOL = 1e-10
 _NEGATIVITY_TOL = -1e-12
 
@@ -259,25 +262,24 @@ class KineticSolution:
     snapshots: list[GridDensity]
     drift_total: float = 0.0
 
-    def values_at(self, t: float) -> np.ndarray:
-        """Phase-space density at time t (linear interpolation between snapshots)."""
+    def bracket(self, t: float) -> tuple[int, int, float]:
+        """Snapshot indices around t and the weight of the upper one.
+
+        On a stored time ``lo == hi`` and ``w == 0``: that snapshot, exactly.
+        """
         times = self.times
         if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
             raise ValueError(f"time {t} outside stored range [{times[0]}, {times[-1]}]")
+        t = min(max(t, times[0]), times[-1])
         idx = int(np.searchsorted(times, t))
-        if idx == 0:
-            return self.snapshots[0].values.copy()
-        if idx >= len(times):
-            return self.snapshots[-1].values.copy()
-        lo, hi = times[idx - 1], times[idx]
-        w = (t - lo) / (hi - lo)
-        return (1.0 - w) * self.snapshots[idx - 1].values + w * self.snapshots[idx].values
+        if times[idx] == t:
+            return idx, idx, 0.0
+        return idx - 1, idx, (t - times[idx - 1]) / (times[idx] - times[idx - 1])
 
-    def density_at(self, t: float) -> np.ndarray:
-        return self.values_at(t).sum(axis=1) * self.grid.dv
-
-    def mass_function_at(self, t: float) -> MassFunction:
-        return MassFunction(self.density_at(t), self.grid.dx)
+    def values_at(self, t: float) -> np.ndarray:
+        """Phase-space density at time t (linear interpolation between snapshots)."""
+        lo, hi, w = self.bracket(t)
+        return (1.0 - w) * self.snapshots[lo].values + w * self.snapshots[hi].values
 
 
 def solve(

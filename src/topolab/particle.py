@@ -15,6 +15,7 @@ as the reference the simulator must reproduce.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,39 @@ def categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
     return min(idx, len(probs) - 1)
 
 
+def run_clock(
+    n: int,
+    horizon: float,
+    rng: np.random.Generator,
+    snapshot_times: tuple[float, ...],
+    advance: Callable[[float], None],
+    snapshot: Callable[[float, float], None],
+    event: Callable[[float], None],
+) -> None:
+    """The rate-n event clock shared by the standalone and the coupled run.
+
+    Before each ring, due snapshots go to ``snapshot(s, t)`` with t the time
+    of the not yet advanced state; then ``advance(gap)`` streams the state and
+    ``event(t)`` jumps.  The last, partial gap streams to the horizon.
+    """
+    pending = sorted(snapshot_times)
+    for s in pending:
+        if not 0.0 <= s <= horizon:
+            raise ValueError(f"snapshot time {s} outside [0, {horizon}]")
+    t = 0.0
+    while True:
+        gap = rng.exponential(1.0 / n)
+        t_next = t + gap
+        while pending and pending[0] <= min(t_next, horizon):
+            snapshot(pending.pop(0), t)
+        if t_next > horizon:
+            advance(horizon - t)
+            return
+        advance(gap)
+        t = t_next
+        event(t)
+
+
 def simulate(
     params: ProcessParams,
     initial: Configuration,
@@ -91,14 +125,10 @@ def simulate(
         raise ValueError(f"initial configuration has d={initial.d}, params say {params.dimension}")
     if rng is None:
         rng = np.random.default_rng(params.seed)
-    for s in snapshot_times:
-        if not 0.0 <= s <= params.horizon:
-            raise ValueError(f"snapshot time {s} outside [0, {params.horizon}]")
 
     n = params.n
+    frozen = params.frozen_positions
     state = initial.copy()
-    t = 0.0
-    pending = sorted(snapshot_times)
     snapshots: dict[float, Configuration] = {}
     times: list[float] = []
     focals: list[int] = []
@@ -106,41 +136,16 @@ def simulate(
     ranks_log: list[int] = []
     count = 0
 
-    frozen_probs: np.ndarray | None = None
-    frozen_ranks: np.ndarray | None = None
-    if params.frozen_positions:
-        pairs = [partner_distribution(state, params.kernel, i) for i in range(n)]
-        frozen_probs = np.stack([p for p, _ in pairs])
-        frozen_ranks = np.stack([r for _, r in pairs])
+    # frozen positions keep every transition row constant: compute them once
+    table = [partner_distribution(state, params.kernel, i) for i in range(n)] if frozen else []
 
-    def emit_snapshots(up_to: float) -> None:
-        nonlocal pending
-        while pending and pending[0] <= up_to:
-            s = pending.pop(0)
-            if params.frozen_positions:
-                snapshots[s] = state.copy()
-            else:
-                snapshots[s] = state.transported(s - t)
+    def snapshot(s: float, t: float) -> None:
+        snapshots[s] = state.copy() if frozen else state.transported(s - t)
 
-    while True:
-        gap = rng.exponential(1.0 / n)
-        t_next = t + gap
-        if t_next > params.horizon:
-            emit_snapshots(params.horizon)
-            if params.frozen_positions:
-                final = state.copy()
-            else:
-                final = state.transported(params.horizon - t)
-            break
-        emit_snapshots(t_next)
-        if not params.frozen_positions:
-            state.transport_inplace(gap)
-        t = t_next
+    def event(t: float) -> None:
+        nonlocal count
         i = int(rng.integers(n))
-        if frozen_probs is not None:
-            probs, ranks = frozen_probs[i], frozen_ranks[i]
-        else:
-            probs, ranks = partner_distribution(state, params.kernel, i)
+        probs, ranks = table[i] if frozen else partner_distribution(state, params.kernel, i)
         j = categorical(rng, probs)
         state.velocities[i] = state.velocities[j]
         count += 1
@@ -151,12 +156,14 @@ def simulate(
         if record_ranks:
             ranks_log.append(int(ranks[j]))
 
+    advance = (lambda dt: None) if frozen else state.transport_inplace
+    run_clock(n, params.horizon, rng, snapshot_times, advance, snapshot, event)
     return Trajectory(
         event_times=np.asarray(times),
         event_focal=np.asarray(focals, dtype=np.int64),
         event_partner=np.asarray(partners, dtype=np.int64),
         snapshots=snapshots,
-        final=final,
+        final=state,
         event_count=count,
         event_rank=np.asarray(ranks_log, dtype=np.int64) if record_ranks else None,
     )

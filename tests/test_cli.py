@@ -67,6 +67,13 @@ def test_invalid_config_is_validation_error(tmp_path, capsys):
     config = write_config(tmp_path, spec)
     rc = main(["convergence", "--config", str(config), "--out", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG
+    # a zero histogram bin count is a config error, not a division by zero
+    spec = small_spec()
+    spec["coupling"]["tv_bins_x"] = 0
+    config = write_config(tmp_path, spec)
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "tv_bins_x" in capsys.readouterr().err
 
 
 def test_broken_json_is_validation_error(tmp_path):
@@ -86,6 +93,23 @@ def test_two_dimensional_convergence_is_validation_error(tmp_path, capsys):
         "velocity": {"form": "four_point", "speed": 1.0},
     }
     config = write_config(tmp_path, spec)
-    rc = main(["convergence", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert rc == EXIT_CONFIG
+    for command in ("kinetic", "couple", "convergence"):
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_horizon_off_snapshot_spacing_fails_before_writing(tmp_path, capsys):
+    # kinetic snapshots every 0.02 stop at 0.04 < 0.05, so the coupled trials
+    # would run past the stored solution; this must fail before any solve
+    spec = small_spec()
+    spec["system"]["horizon"] = 0.05
+    spec["snapshot_times"] = [0.025, 0.05]
+    config = write_config(tmp_path, spec)
+    for command in ("kinetic", "couple", "convergence"):
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "snapshot_spacing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK

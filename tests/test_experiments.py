@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,11 +76,13 @@ def test_config_rejects_offgrid_velocity_atoms():
 
 
 def test_config_rejects_wide_snapshot_spacing():
-    spec = base_spec(
-        kinetic={"nx": 64, "nv": 5, "v_max": 1.25, "dt": 0.01, "snapshot_spacing": 0.2}
-    )
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_json(spec)
+    # a zero or negative spacing is rejected too, not divided by later
+    for spacing in (0.2, 0.0, -0.02):
+        spec = base_spec(
+            kinetic={"nx": 64, "nv": 5, "v_max": 1.25, "dt": 0.01, "snapshot_spacing": spacing}
+        )
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(spec)
 
 
 def test_kinetic_cache_round_trip(tmp_path):
@@ -89,6 +94,23 @@ def test_kinetic_cache_round_trip(tmp_path):
     np.testing.assert_array_equal(first.times, second.times)
     for a, b in zip(first.snapshots, second.snapshots):
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_kinetic_cache_with_wrong_times_is_recomputed(tmp_path):
+    # a cache file at the right key but holding other snapshot times (as
+    # written by older code) is a miss: solved again and overwritten
+    config = ExperimentConfig.from_json(base_spec())
+    fresh = kinetic_solution(config, None)
+    path = tmp_path / "cache" / f"kinetic_{config.kinetic_cache_key()}.npz"
+    path.parent.mkdir()
+    values = np.stack([s.values for s in fresh.snapshots])
+    np.savez_compressed(path, times=fresh.times * 0.5, values=np.zeros_like(values), drift=0.0)
+    served = kinetic_solution(config, tmp_path)
+    np.testing.assert_array_equal(served.times, fresh.times)
+    np.testing.assert_array_equal(np.stack([s.values for s in served.snapshots]), values)
+    with np.load(path) as data:
+        np.testing.assert_array_equal(data["times"], fresh.times)
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def test_rate_fit_recovers_planted_slope():
@@ -205,3 +227,22 @@ def test_trials_reader_rejects_unknown_schema(tmp_path):
     bad.write_text("# schema=other\nx\n1\n")
     with pytest.raises(ConfigError):
         read_trials_csv(bad)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_particle_and_coupled_streams_match_golden_files(tmp_path, frozen):
+    # the event clock, partner draws and transport of the standalone and the
+    # coupled run are pinned byte for byte; a change that alters the random
+    # stream must re-pin these files on purpose
+    golden = Path(__file__).parent / "data" / "golden"
+    spec = json.loads((golden.parent / "golden_config.json").read_text())
+    spec["system"]["frozen_positions"] = frozen
+    config = ExperimentConfig.from_json(spec)
+    suffix = "_frozen" if frozen else ""
+    run_particle_simulation(config, tmp_path)
+    for name in ("events", "snapshots"):
+        expected = (golden / f"{name}{suffix}.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, f"{name}.csv drifted"
+    if not frozen:
+        run_single_coupled(config, tmp_path)
+        assert (tmp_path / "trials_n8.csv").read_bytes() == (golden / "trials_n8.csv").read_bytes()
