@@ -1,127 +1,1 @@
 """topolab: rank-based interacting particle systems, their kinetic limit, and the coupling between them."""
-
-from .coupling import (
-    CoupledState,
-    CouplingDiagnostics,
-    MarginalReport,
-    SolutionReference,
-    TrialRecord,
-    UniformReference,
-    coupled_event,
-    decoupling_bound,
-    joint_rate,
-    lln_diagnostic,
-    run_coupled_trial,
-    tv_estimate,
-    z_marginal_report,
-)
-from .experiments import (
-    ConfigError,
-    ExperimentConfig,
-    RateFit,
-    rate_fit,
-    run_convergence,
-)
-from .initial import (
-    InitialLaw,
-    PositionLaw,
-    VelocityLaw,
-    initial_law_from_json,
-    sample_initial,
-)
-from .kernels import (
-    DegenerateNormalizationError,
-    Kernel,
-    KernelError,
-    preset_kernels,
-    rate_normalization,
-    riemann_error,
-)
-from .kinetic import (
-    GridDensity,
-    KineticSolution,
-    MassFunction,
-    PhaseGrid,
-    SolverInstabilityError,
-    coarea_check,
-    gain,
-    initial_density,
-    solve,
-    step,
-)
-from .particle import (
-    ProcessParams,
-    Trajectory,
-    empirical_marginal,
-    master_equation_law,
-    simulate,
-    total_variation,
-)
-from .ranks import (
-    Configuration,
-    RankTable,
-    empirical_mass,
-    normalized_ranks,
-    partner_distribution,
-    rank,
-    rank_table,
-    rank_vector,
-    transition_probs,
-)
-
-__all__ = [
-    "ConfigError",
-    "Configuration",
-    "CoupledState",
-    "CouplingDiagnostics",
-    "DegenerateNormalizationError",
-    "ExperimentConfig",
-    "GridDensity",
-    "InitialLaw",
-    "Kernel",
-    "KernelError",
-    "KineticSolution",
-    "MarginalReport",
-    "MassFunction",
-    "PhaseGrid",
-    "PositionLaw",
-    "ProcessParams",
-    "RankTable",
-    "RateFit",
-    "SolutionReference",
-    "SolverInstabilityError",
-    "Trajectory",
-    "TrialRecord",
-    "UniformReference",
-    "VelocityLaw",
-    "coarea_check",
-    "coupled_event",
-    "decoupling_bound",
-    "empirical_marginal",
-    "empirical_mass",
-    "gain",
-    "initial_density",
-    "initial_law_from_json",
-    "joint_rate",
-    "lln_diagnostic",
-    "master_equation_law",
-    "normalized_ranks",
-    "partner_distribution",
-    "preset_kernels",
-    "rank",
-    "rank_table",
-    "rank_vector",
-    "rate_fit",
-    "rate_normalization",
-    "riemann_error",
-    "run_convergence",
-    "run_coupled_trial",
-    "sample_initial",
-    "simulate",
-    "solve",
-    "step",
-    "total_variation",
-    "transition_probs",
-    "tv_estimate",
-    "z_marginal_report",
-]

@@ -2,7 +2,8 @@
 
 Subcommands: simulate (particle system), kinetic (grid solve), couple (one
 coupled run), convergence (full study), oracle (reference checks), report
-(SVG plots).  Exit codes: 0 success, 2 validation error, 3 oracle failure.
+(SVG plots).  Exit codes: 0 success, 2 validation error, 3 oracle failure;
+any other exception is an internal fault and propagates (traceback, exit 1).
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ EXIT_ORACLE = 3
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    spec = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        spec = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        # a missing or unreadable file, undecodable text, or broken JSON
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if args.seed is not None:
         spec["seed"] = args.seed
     return ExperimentConfig.from_json(spec)
@@ -157,9 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -35,18 +35,11 @@ import numpy as np
 from . import torus
 from .initial import VelocityLaw
 from .kernels import Kernel, rate_normalization
-from .kinetic import KineticSolution, MassFunction
+from .kinetic import KineticSolution, MassFunction, PhaseGrid, edge_cdf
 from .particle import categorical, empirical_marginal, run_clock
 from .ranks import Configuration, partner_distribution
 
 _RESIDUAL_TOL = -1e-12
-
-
-def joint_rate(pi_particle: float, pi_reference: float) -> float:
-    """Rate of the simultaneous jump: the minimum of the two marginal rates."""
-    if pi_particle < 0 or pi_reference < 0:
-        raise ValueError("rates must be nonnegative")
-    return min(pi_particle, pi_reference)
 
 
 def decoupling_bound(kernel: Kernel, n: int, t: float) -> float:
@@ -70,23 +63,16 @@ class SolutionReference:
         self.solution = solution
         self.kernel = kernel
         self.grid = solution.grid
-        self.d = 1
-        dx = self.grid.dx
         self._edge_cdfs = np.stack(
-            [
-                np.concatenate([[0.0], np.cumsum(snap.values.sum(axis=1) * self.grid.dv) * dx])
-                for snap in solution.snapshots
-            ]
+            [edge_cdf(snap.density(), self.grid.dx) for snap in solution.snapshots]
         )
 
     def mass_function(self, t: float) -> MassFunction:
         lo, hi, w = self.solution.bracket(t)
-        cdf = (1.0 - w) * self._edge_cdfs[lo] + w * self._edge_cdfs[hi]
-        return MassFunction.from_edge_cdf(cdf, self.grid.dx)
+        return MassFunction((1.0 - w) * self._edge_cdfs[lo] + w * self._edge_cdfs[hi])
 
     def ball_mass(self, t: float, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        mass_fn = self.mass_function(t)
-        return mass_fn.ball_mass(np.full_like(radii, float(center[0])), radii)
+        return self.mass_function(t).ball_mass(float(center[0]), radii)
 
     def fresh_velocity(self, t: float, center: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw from g(u) ~ sum_y K(m(center, dist)) f[y][u] dx, snapped to the v-grid."""
@@ -94,18 +80,15 @@ class SolutionReference:
         mass_fn = self.mass_function(t)
         dist = np.abs(grid.x_centers - float(center[0]))
         dist = np.minimum(dist, 1.0 - dist)
-        weights = self.kernel(mass_fn.ball_mass(np.full_like(dist, float(center[0])), dist)) * grid.dx
+        weights = self.kernel(mass_fn.ball_mass(float(center[0]), dist)) * grid.dx
         g = weights @ self.solution.values_at(t)
         cell = categorical(rng, g)
         return np.array([grid.v_centers[cell]])
 
     def cell_masses(self, t: float, x_edges: np.ndarray, v_edges: np.ndarray) -> np.ndarray:
         """Reference cell masses on a coarse histogram grid aligned with the solver grid."""
-        values = self.values_masses(t)
-        return _aggregate_cells(values, self.grid, x_edges, v_edges)
-
-    def values_masses(self, t: float) -> np.ndarray:
-        return self.solution.values_at(t) * (self.grid.dx * self.grid.dv)
+        masses = self.solution.values_at(t) * (self.grid.dx * self.grid.dv)
+        return _aggregate_cells(masses, self.grid, x_edges, v_edges)
 
 
 class UniformReference:
@@ -135,21 +118,28 @@ class UniformReference:
         return np.outer(pos, vel)
 
 
+Reference = SolutionReference | UniformReference
+
+
 def _aggregate_cells(
-    masses: np.ndarray, grid, x_edges: np.ndarray, v_edges: np.ndarray
+    masses: np.ndarray, grid: PhaseGrid, x_edges: np.ndarray, v_edges: np.ndarray
 ) -> np.ndarray:
-    """Sum fine-grid cell masses into coarse bins whose edges sit on the fine edges."""
-    x_idx = np.round(x_edges * grid.nx).astype(int)
-    v_idx = np.round((v_edges + grid.v_max) / grid.dv).astype(int)
-    if np.any(np.abs(x_idx * grid.dx - x_edges) > 1e-9) or np.any(
-        np.abs(v_idx * grid.dv - grid.v_max - v_edges) > 1e-9
+    """Sum fine-grid cell masses into uniform x bins that divide nx, per solver v cell.
+
+    The transposed copy makes each bin's fine cells contiguous, so every bin
+    sums in the same order as ``masses[a * k : (a + 1) * k, b].sum()``.
+    """
+    bins = len(x_edges) - 1
+    if bins < 1 or grid.nx % bins:
+        raise ValueError(f"{bins} x bins do not divide nx={grid.nx}")
+    k = grid.nx // bins
+    if (
+        np.any(np.abs(x_edges - grid.x_edges[::k]) > 1e-9)
+        or len(v_edges) != grid.nv + 1
+        or np.any(np.abs(v_edges - grid.v_edges) > 1e-9)
     ):
-        raise ValueError("histogram edges must align with the solver grid")
-    out = np.zeros((len(x_edges) - 1, len(v_edges) - 1))
-    for a in range(out.shape[0]):
-        for b in range(out.shape[1]):
-            out[a, b] = masses[x_idx[a] : x_idx[a + 1], v_idx[b] : v_idx[b + 1]].sum()
-    return out
+        raise ValueError("histogram needs uniform x edges and the solver's own v edges")
+    return np.ascontiguousarray(masses.T).reshape(grid.nv, bins, k).sum(axis=2).T
 
 
 # -- coupled state and diagnostics -----------------------------------------------
@@ -200,7 +190,7 @@ class CouplingDiagnostics:
 def coupled_event(
     state: CoupledState,
     kernel: Kernel,
-    reference,
+    reference: Reference,
     alpha: float,
     rng: np.random.Generator,
     diag: CouplingDiagnostics,
@@ -271,7 +261,7 @@ def coupled_event(
 
 def tv_estimate(
     config: Configuration,
-    reference,
+    reference: Reference,
     t: float,
     x_edges: np.ndarray,
     v_edges: np.ndarray,
@@ -282,7 +272,7 @@ def tv_estimate(
     return 0.5 * float(np.abs(hist - ref).sum())
 
 
-def lln_diagnostic(config: Configuration, reference, t: float, focal: int = 0) -> float:
+def lln_diagnostic(config: Configuration, reference: Reference, t: float, focal: int = 0) -> float:
     """Mean gap between empirical and reference ball masses at the focal particle.
 
     Averages |M_emp(B_r(y_focal)) - M_rho(B_r(y_focal))| over the balls with
@@ -325,7 +315,7 @@ def z_marginal_report(
     n: int,
     horizon: float,
     trials: int,
-    reference,
+    reference: Reference,
     seed: int,
     probe_times: tuple[float, ...] = (0.5, 1.0),
     tail_rank: int | None = None,
@@ -428,7 +418,7 @@ class TrialRecord:
 
 def run_coupled_trial(
     kernel: Kernel,
-    reference,
+    reference: Reference,
     initial: Configuration,
     horizon: float,
     rng: np.random.Generator,

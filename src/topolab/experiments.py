@@ -13,15 +13,17 @@ import hashlib
 import json
 import math
 import os
+import zipfile
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import SolutionReference, TrialRecord, decoupling_bound, run_coupled_trial
+from .coupling import Reference, SolutionReference, TrialRecord, decoupling_bound, run_coupled_trial
 from .initial import InitialLaw, initial_law_from_json, sample_initial
-from .kernels import Kernel
+from .kernels import Kernel, rate_normalization
 from .kinetic import (
     SOLVER_VERSION,
     GridDensity,
@@ -111,18 +113,25 @@ class ExperimentConfig:
                 trials=int(conv.get("trials", 1)),
                 fit=bool(conv.get("fit", True)),
             )
+            config.validate()
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed config: {exc}") from exc
-        config.validate()
         return config
 
     def validate(self) -> None:
+        """Check the fields; `from_json` reports any ValueError from here as a ConfigError."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n < 2:
             raise ConfigError(f"system.n must be >= 2, got {self.n}")
         if self.dimension not in (1, 2):
             raise ConfigError(f"dimension must be 1 or 2, got {self.dimension}")
+        if self.initial.d != self.dimension:
+            raise ConfigError(
+                f"initial law is {self.initial.d}-dimensional, system.dimension is {self.dimension}"
+            )
         if self.horizon < 0:
             raise ConfigError("horizon must be nonnegative")
         if self.trials < 1:
@@ -131,6 +140,8 @@ class ExperimentConfig:
             diffs = np.diff(self.n_values)
             if np.any(diffs <= 0) or min(self.n_values) < 2:
                 raise ConfigError("n_values must be strictly increasing and >= 2")
+        for n in (self.n, *self.n_values):
+            rate_normalization(self.kernel, n)
         if not 0.0 < self.snapshot_spacing <= 10 * self.dt + 1e-12:
             raise ConfigError("snapshot_spacing must be positive and not exceed 10 * dt")
         for t in self.snapshot_times:
@@ -154,6 +165,11 @@ class ExperimentConfig:
         """Reject what the grid solver cannot serve; particle-only runs skip this."""
         if self.dimension != 1:
             raise ConfigError(f"the kinetic solver is one-dimensional, got d={self.dimension}")
+        if not 0.0 < self.dt <= 1.0:
+            raise ConfigError(f"kinetic.dt must lie in (0, 1], got {self.dt}")
+        steps = round(self.snapshot_spacing / self.dt)
+        if abs(steps * self.dt - self.snapshot_spacing) > 1e-9:
+            raise ConfigError(f"snapshot_spacing {self.snapshot_spacing} is not a multiple of dt")
         count = round(self.horizon / self.snapshot_spacing)
         if abs(count * self.snapshot_spacing - self.horizon) > 1e-9:
             raise ConfigError(f"horizon {self.horizon} is not a multiple of snapshot_spacing")
@@ -194,7 +210,8 @@ class ExperimentConfig:
 def kinetic_solution(config: ExperimentConfig, out_dir: Path | None) -> KineticSolution:
     """Solve (or load from cache) the kinetic equation for this configuration.
 
-    A cache file with other snapshot times or shape is a miss and is replaced.
+    A cache file that cannot be read, or holds other snapshot times or shape,
+    is a miss and is replaced.
     """
     config.check_kinetic()
     grid = config.grid()
@@ -202,13 +219,16 @@ def kinetic_solution(config: ExperimentConfig, out_dir: Path | None) -> KineticS
     cache_path = None
     if out_dir is not None:
         cache_path = Path(out_dir) / "cache" / f"kinetic_{config.kinetic_cache_key()}.npz"
-        if cache_path.exists():
+        try:
             with np.load(cache_path) as data:
-                stored, values = data["times"], data["values"]
-                fits = values.shape == (len(times), grid.nx, grid.nv)
-                if fits and np.array_equal(stored, times):
-                    snaps = [GridDensity(grid, v, t=float(s)) for s, v in zip(stored, values)]
-                    return KineticSolution(grid, stored, snaps, drift_total=float(data["drift"]))
+                stored, values, drift = data["times"], data["values"], float(data["drift"])
+        except (FileNotFoundError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
+            # no file, or not a whole one (empty, truncated, foreign): a miss
+            stored = values = None
+        fits = values is not None and values.shape == (len(times), grid.nx, grid.nv)
+        if fits and np.array_equal(stored, times):
+            snaps = [GridDensity(grid, v, t=float(s)) for s, v in zip(stored, values)]
+            return KineticSolution(grid, stored, snaps, drift_total=drift)
     f0 = initial_density(config.initial, grid)
     solution = solve(f0, config.kernel, config.horizon, config.dt, times)
     if cache_path is not None:
@@ -234,7 +254,7 @@ def kinetic_solution(config: ExperimentConfig, out_dir: Path | None) -> KineticS
 _WORKER_CTX: dict = {}
 
 
-def _run_one_trial(config: ExperimentConfig, reference, n: int, trial: int) -> TrialRecord:
+def _run_one_trial(config: ExperimentConfig, reference: Reference, n: int, trial: int) -> TrialRecord:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(n, trial)))
     initial = sample_initial(
         config.initial, n, np.random.SeedSequence(entropy=config.seed, spawn_key=(n, trial, 1))
@@ -251,7 +271,7 @@ def _run_one_trial(config: ExperimentConfig, reference, n: int, trial: int) -> T
     )
 
 
-def _worker_init(config: ExperimentConfig, reference) -> None:
+def _worker_init(config: ExperimentConfig, reference: Reference) -> None:
     _WORKER_CTX["config"] = config
     _WORKER_CTX["reference"] = reference
 
@@ -262,7 +282,7 @@ def _worker_run(args: tuple[int, int]) -> TrialRecord:
 
 
 def run_trials(
-    config: ExperimentConfig, reference, n: int, threads: int = 1
+    config: ExperimentConfig, reference: Reference, n: int, threads: int = 1
 ) -> list[TrialRecord]:
     """All trials for one system size, in trial order regardless of worker count."""
     jobs = [(n, trial) for trial in range(config.trials)]
@@ -358,9 +378,12 @@ def read_trials_csv(path: Path) -> tuple[int, np.ndarray]:
         schema = fh.readline().strip()
         if not schema.startswith(f"# schema={_TRIALS_SCHEMA}"):
             raise ConfigError(f"unknown trials schema in {path}: {schema!r}")
-        n = int(schema.split("n=")[1])
         header = fh.readline()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            n = int(schema.split("n=")[1])
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"malformed trials file {path}: {exc}") from exc
     if header.count(",") != 8:
         raise ConfigError(f"unexpected trials header in {path}")
     return n, data
@@ -383,7 +406,10 @@ def read_aggregate_csv(path: Path) -> np.ndarray:
         if schema != f"# schema={_AGGREGATE_SCHEMA}":
             raise ConfigError(f"unknown aggregate schema in {path}: {schema!r}")
         fh.readline()
-        return np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"malformed aggregate file {path}: {exc}") from exc
 
 
 def write_events_csv(path: Path, trajectory: Trajectory) -> None:

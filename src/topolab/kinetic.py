@@ -128,42 +128,36 @@ def initial_density(law: InitialLaw, grid: PhaseGrid) -> GridDensity:
     return GridDensity(grid, values, t=0.0)
 
 
+def edge_cdf(rho: np.ndarray, dx: float) -> np.ndarray:
+    """Periodic CDF of a piecewise-constant spatial density at its nx + 1 cell edges."""
+    return np.concatenate([[0.0], np.cumsum(rho) * dx])
+
+
 class MassFunction:
     """Cumulative ball masses of a piecewise-constant spatial density.
 
-    Stores the periodic CDF of rho at the cell edges; the mass of the closed
-    ball of radius r around any center is CDF(center+r) - CDF(center-r),
-    evaluated exactly for the piecewise-constant density (linear
-    interpolation between edges).  Radii are capped at 1/2, where the ball
-    covers the whole torus.
+    Holds the CDF of rho at the uniform cell edges of the unit torus (see
+    `edge_cdf`); the mass of the closed ball of radius r around any center
+    is CDF(center+r) - CDF(center-r), evaluated exactly for the
+    piecewise-constant density (linear interpolation between edges).  Radii
+    are capped at 1/2, where the ball covers the whole torus.
     """
 
-    def __init__(self, rho: np.ndarray, dx: float):
-        rho = np.asarray(rho, dtype=float)
-        self.dx = dx
-        self.edges = np.arange(rho.size + 1) * dx
-        self.edge_cdf = np.concatenate([[0.0], np.cumsum(rho) * dx])
-        self.total = float(self.edge_cdf[-1])
-
-    @classmethod
-    def from_edge_cdf(cls, edge_cdf: np.ndarray, dx: float) -> "MassFunction":
-        obj = cls.__new__(cls)
-        obj.dx = dx
-        obj.edges = np.arange(edge_cdf.size) * dx
-        obj.edge_cdf = edge_cdf
-        obj.total = float(edge_cdf[-1])
-        return obj
+    def __init__(self, edge_cdf: np.ndarray):
+        self.edge_cdf = edge_cdf
+        self.total = float(edge_cdf[-1])
 
     def _cdf(self, u: np.ndarray) -> np.ndarray:
         # the edges are uniform, so the bracketing cell is index arithmetic
+        nx = self.edge_cdf.size - 1
         k = np.floor(u)
-        pos = (u - k) * (self.edges.size - 1)
-        i0 = np.minimum(pos.astype(np.int64), self.edges.size - 2)
+        pos = (u - k) * nx
+        i0 = np.minimum(pos.astype(np.int64), nx - 1)
         frac = pos - i0
         return (1.0 - frac) * self.edge_cdf[i0] + frac * self.edge_cdf[i0 + 1] + k * self.total
 
     def ball_mass(self, center, radius) -> np.ndarray:
-        """Mass of the closed ball; broadcasts over centers/radii of equal shape."""
+        """Mass of the closed ball; broadcasts over centers and radii."""
         center = np.asarray(center, dtype=float)
         r = np.minimum(np.asarray(radius, dtype=float), 0.5)
         if np.any(r < 0):
@@ -176,11 +170,11 @@ class MassFunction:
         Between consecutive knots the mass is exactly linear in the radius, so
         this is a complete description of m(x_i, .).
         """
-        nx = self.edges.size - 1
-        inner = (np.arange(nx // 2) + 0.5) * self.dx
+        nx = self.edge_cdf.size - 1
+        dx = 1.0 / nx
+        inner = (np.arange(nx // 2) + 0.5) * dx
         radii = np.concatenate([[0.0], inner[inner < 0.5], [0.5]])
-        center = (i + 0.5) * self.dx
-        return radii, self.ball_mass(np.full_like(radii, center), radii)
+        return radii, self.ball_mass((i + 0.5) * dx, radii)
 
 
 def gain_weights(
@@ -200,7 +194,7 @@ def gain_weights(
 def gain(f: GridDensity, kernel: Kernel) -> np.ndarray:
     """Gain term G[x][v] of the collision operator for the current density."""
     rho = f.density()
-    weights = gain_weights(MassFunction(rho, f.grid.dx), f.grid, kernel)
+    weights = gain_weights(MassFunction(edge_cdf(rho, f.grid.dx)), f.grid, kernel)
     return rho[:, None] * (weights @ f.values)
 
 
@@ -213,7 +207,7 @@ def coarea_check(
     the spurious spatial mass flux of one collision application.
     """
     rho = f.density()
-    weights = gain_weights(MassFunction(rho, f.grid.dx), f.grid, kernel, quad_scale)
+    weights = gain_weights(MassFunction(edge_cdf(rho, f.grid.dx)), f.grid, kernel, quad_scale)
     residual = weights @ rho - 1.0
     return residual if signed else np.abs(residual)
 
@@ -241,9 +235,7 @@ def step(f: GridDensity, kernel: Kernel, dt: float) -> GridDensity:
     if not 0.0 < dt <= 1.0:
         raise ValueError(f"collision substep needs 0 < dt <= 1, got {dt}")
     values = transport(f.values, f.grid, 0.5 * dt)
-    rho = values.sum(axis=1) * f.grid.dv
-    weights = gain_weights(MassFunction(rho, f.grid.dx), f.grid, kernel)
-    values = values + dt * (rho[:, None] * (weights @ values) - values)
+    values = values + dt * (gain(GridDensity(f.grid, values), kernel) - values)
     if values.min() < _NEGATIVITY_TOL:
         raise SolverInstabilityError(f"collision produced negative values down to {values.min()}")
     np.maximum(values, 0.0, out=values)

@@ -10,7 +10,7 @@ distance whenever interparticle distances are pairwise distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,58 +71,20 @@ class Configuration:
         np.mod(self.positions, 1.0, out=self.positions)
 
 
-@dataclass
-class RankTable:
-    """Sorted view of the other particles around one focal particle.
-
-    ``order[h-1]`` is the index holding rank h; distances along ``order`` are
-    non-decreasing.  ``tie_breaks`` counts adjacent sorted pairs at exactly
-    equal distance, which were separated by the index rule.
-    """
-
-    focal: int
-    order: np.ndarray
-    distances: np.ndarray
-    tie_breaks: int = field(default=0)
-
-    def rank_of(self, j: int) -> int:
-        where = np.nonzero(self.order == j)[0]
-        if where.size == 0:
-            raise IndexError(f"particle {j} not ranked around focal {self.focal}")
-        return int(where[0]) + 1
-
-
-def _check_pair(config: Configuration, i: int, j: int) -> None:
-    n = config.n
-    if not (0 <= i < n) or not (0 <= j < n):
-        raise IndexError(f"particle index out of range for n={n}: i={i}, j={j}")
-    if i == j:
-        raise ValueError("focal and partner index must differ")
-
-
-def rank_table(config: Configuration, i: int) -> RankTable:
-    """Rank all other particles around focal i (stable sort; ties fall to lower index)."""
-    if not 0 <= i < config.n:
-        raise IndexError(f"focal index {i} out of range for n={config.n}")
-    others = np.concatenate([np.arange(i), np.arange(i + 1, config.n)])
-    dist = torus.distances_from(config.positions[others], config.positions[i])
-    sorter = np.argsort(dist, kind="stable")
-    sorted_dist = dist[sorter]
-    ties = int(np.count_nonzero(np.diff(sorted_dist) == 0.0))
-    return RankTable(focal=i, order=others[sorter], distances=sorted_dist, tie_breaks=ties)
-
-
-def rank(config: Configuration, i: int, j: int) -> int:
-    """Proximity rank of j around i: 1 for the closest other particle, up to n-1."""
-    _check_pair(config, i, j)
-    return rank_table(config, i).rank_of(j)
-
-
 def rank_vector(config: Configuration, i: int) -> np.ndarray:
-    """Ranks of every particle around focal i as an int array; entry i is 0."""
-    table = rank_table(config, i)
-    ranks = np.zeros(config.n, dtype=np.int64)
-    ranks[table.order] = np.arange(1, config.n)
+    """Ranks of every particle around focal i as an int array; entry i is 0.
+
+    One stable sort of the torus distances, with the focal entry set below
+    every distance so that it takes rank 0; distance ties fall to the lower
+    index.
+    """
+    n = config.n
+    if not 0 <= i < n:
+        raise IndexError(f"focal index {i} out of range for n={n}")
+    dist = torus.distances_from(config.positions, config.positions[i])
+    dist[i] = -1.0
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[np.argsort(dist, kind="stable")] = np.arange(n)
     return ranks
 
 

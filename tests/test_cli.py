@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from topolab.cli import EXIT_CONFIG, EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
@@ -62,18 +64,38 @@ def test_missing_config_is_validation_error(tmp_path, capsys):
 
 
 def test_invalid_config_is_validation_error(tmp_path, capsys):
-    spec = small_spec()
-    spec["version"] = 9
-    config = write_config(tmp_path, spec)
-    rc = main(["convergence", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert rc == EXIT_CONFIG
-    # a zero histogram bin count is a config error, not a division by zero
-    spec = small_spec()
-    spec["coupling"]["tv_bins_x"] = 0
-    config = write_config(tmp_path, spec)
-    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert rc == EXIT_CONFIG
-    assert "tv_bins_x" in capsys.readouterr().err
+    cases = [
+        ("convergence", {"version": 9}, "version"),
+        # a zero histogram bin count is a config error, not a division by zero
+        ("simulate", {"coupling": {"tv_bins_x": 0}}, "tv_bins_x"),
+        ("simulate", {"kinetic": {"nv": 0}}, "nv >= 1"),
+        ("simulate", {"system": {"dimension": 2}}, "dimension"),
+        ("simulate", {"system": {"n": 2}}, "kernel vanishes"),
+        ("simulate", {"seed": -1}, "seed"),
+        ("kinetic", {"kinetic": {"dt": 2.0, "snapshot_spacing": 2.0}}, "kinetic.dt"),
+        # the horizon sits on the 0.015 grid, so only the dt-grid check can fire
+        (
+            "kinetic",
+            {
+                "kinetic": {"snapshot_spacing": 0.015},
+                "system": {"horizon": 0.45},
+                "snapshot_times": [0.225, 0.45],
+            },
+            "multiple of dt",
+        ),
+    ]
+    for command, patch, message in cases:
+        spec = small_spec()
+        for key, value in patch.items():
+            if isinstance(value, dict):
+                spec[key].update(value)
+            else:
+                spec[key] = value
+        config = write_config(tmp_path, spec)
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG, message
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_broken_json_is_validation_error(tmp_path):
@@ -113,3 +135,15 @@ def test_horizon_off_snapshot_spacing_fails_before_writing(tmp_path, capsys):
         assert "snapshot_spacing" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_internal_fault_is_not_a_config_error(tmp_path, monkeypatch):
+    # only ConfigError maps to exit 2; any other exception escapes main, so
+    # the interpreter prints the traceback and exits with 1
+    def broken(config, out_dir):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("topolab.cli.run_particle_simulation", broken)
+    config = write_config(tmp_path, small_spec())
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])

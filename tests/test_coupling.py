@@ -7,9 +7,9 @@ from topolab.coupling import (
     CouplingDiagnostics,
     SolutionReference,
     UniformReference,
+    _aggregate_cells,
     coupled_event,
     decoupling_bound,
-    joint_rate,
     lln_diagnostic,
     run_coupled_trial,
     tv_estimate,
@@ -34,13 +34,6 @@ def kinetic_reference(kernel, horizon=1.0, nx=128, amplitude=0.0):
     times = tuple(np.round(np.arange(0, horizon + 1e-12, 0.02), 10))
     sol = solve(initial_density(law, grid), kernel, horizon, 0.01, times)
     return SolutionReference(sol, kernel)
-
-
-def test_joint_rate_is_minimum():
-    assert joint_rate(0.4, 0.25) == 0.25
-    assert joint_rate(0.3, 0.3) == 0.3
-    with pytest.raises(ValueError):
-        joint_rate(-0.1, 0.2)
 
 
 def test_decoupling_bound_values():
@@ -153,6 +146,30 @@ def test_tv_estimate_identical_and_disjoint():
         VelocityLaw.discrete([[-1.0]], [1.0]), d=1
     )
     assert tv_estimate(config, one_sided, 0.0, x_edges, V_EDGES) == pytest.approx(1.0)
+
+
+def test_aggregate_cells_matches_cell_loop():
+    # the reference loop sums each bin's slice; the vectorised sum must agree
+    # to the last bit, since tv_estimate is written with 12 digits
+    rng = np.random.default_rng(8)
+    for nx in (8, 64, 512):
+        grid = PhaseGrid(nx=nx, nv=5, v_max=1.25)
+        masses = rng.uniform(0, 1, (nx, grid.nv))
+        for bins in (1, 2, 8, nx):
+            k = nx // bins
+            x_edges = np.linspace(0.0, 1.0, bins + 1)
+            loop = np.array(
+                [[masses[a * k : (a + 1) * k, b : b + 1].sum() for b in range(grid.nv)]
+                 for a in range(bins)]
+            )
+            np.testing.assert_array_equal(_aggregate_cells(masses, grid, x_edges, grid.v_edges), loop)
+    for x_edges, v_edges in (
+        (np.linspace(0.0, 1.0, 4), grid.v_edges),  # 3 bins do not divide 512
+        (np.array([0.0, 0.25, 1.0]), grid.v_edges),  # not uniform
+        (np.linspace(0.0, 1.0, 9), grid.v_edges[::5]),  # coarser v bins
+    ):
+        with pytest.raises(ValueError):
+            _aggregate_cells(masses, grid, x_edges, v_edges)
 
 
 def test_lln_diagnostic_quantile_construction():

@@ -98,19 +98,24 @@ def test_kinetic_cache_round_trip(tmp_path):
 
 def test_kinetic_cache_with_wrong_times_is_recomputed(tmp_path):
     # a cache file at the right key but holding other snapshot times (as
-    # written by older code) is a miss: solved again and overwritten
+    # written by older code), or one that is not a whole .npz file (garbage,
+    # empty, truncated), is a miss: solved again and atomically replaced
     config = ExperimentConfig.from_json(base_spec())
     fresh = kinetic_solution(config, None)
     path = tmp_path / "cache" / f"kinetic_{config.kinetic_cache_key()}.npz"
     path.parent.mkdir()
     values = np.stack([s.values for s in fresh.snapshots])
+    np.savez_compressed(path, times=fresh.times, values=values, drift=0.0)
+    whole = path.read_bytes()
     np.savez_compressed(path, times=fresh.times * 0.5, values=np.zeros_like(values), drift=0.0)
-    served = kinetic_solution(config, tmp_path)
-    np.testing.assert_array_equal(served.times, fresh.times)
-    np.testing.assert_array_equal(np.stack([s.values for s in served.snapshots]), values)
-    with np.load(path) as data:
-        np.testing.assert_array_equal(data["times"], fresh.times)
-    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    for planted in (path.read_bytes(), b"not a zip!!\n", b"", whole[: len(whole) // 2]):
+        path.write_bytes(planted)
+        served = kinetic_solution(config, tmp_path)
+        np.testing.assert_array_equal(served.times, fresh.times)
+        np.testing.assert_array_equal(np.stack([s.values for s in served.snapshots]), values)
+        with np.load(path) as data:
+            np.testing.assert_array_equal(data["times"], fresh.times)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def test_rate_fit_recovers_planted_slope():
@@ -217,16 +222,25 @@ def test_single_runs_write_contract_files(tmp_path):
 
 def test_aggregate_reader_rejects_unknown_schema(tmp_path):
     bad = tmp_path / "aggregate.csv"
-    bad.write_text("# schema=topolab.aggregate.v99\nn,t\n1,2\n")
-    with pytest.raises(ConfigError):
-        read_aggregate_csv(bad)
+    for text in (
+        "# schema=topolab.aggregate.v99\nn,t\n1,2\n",
+        "# schema=topolab.aggregate.v1\nn,t,mean_d_n,stderr,bound\n8,0.5,0.1,0.01,x\n",
+    ):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="aggregate"):
+            read_aggregate_csv(bad)
 
 
 def test_trials_reader_rejects_unknown_schema(tmp_path):
     bad = tmp_path / "trials_n4.csv"
-    bad.write_text("# schema=other\nx\n1\n")
-    with pytest.raises(ConfigError):
-        read_trials_csv(bad)
+    header = "trial,t,d_n,tv_estimate,joint_count,z_only_count,sigma_only_count,lln_diag,rescale_mag"
+    for text in (
+        "# schema=other\nx\n1\n",
+        f"# schema=topolab.trials.v1 n=4\n{header}\n0,0.5,0.25,0.1,3,1,0,0.2,oops\n",
+    ):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="trials"):
+            read_trials_csv(bad)
 
 
 @pytest.mark.parametrize("frozen", [False, True])

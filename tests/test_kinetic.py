@@ -11,6 +11,7 @@ from topolab.kinetic import (
     coarea_check,
     density_from_csv,
     density_to_csv,
+    edge_cdf,
     gain,
     initial_density,
     l1_distance,
@@ -54,7 +55,7 @@ def test_density_sum_normalized_random():
 def test_mass_function_profile_invariants():
     f0 = initial_density(law(0.4), GRID)
     rho = f0.density()
-    mass_fn = MassFunction(rho, GRID.dx)
+    mass_fn = MassFunction(edge_cdf(rho, GRID.dx))
     for i in (0, 13, 50):
         radii, masses = mass_fn.profile(i)
         assert np.all(np.diff(masses) >= -1e-15)
@@ -67,7 +68,7 @@ def test_mass_function_matches_direct_integral():
     # compare against dense numerical integration of the binned density
     f0 = initial_density(law(0.35), GRID)
     rho = f0.density()
-    mass_fn = MassFunction(rho, GRID.dx)
+    mass_fn = MassFunction(edge_cdf(rho, GRID.dx))
     fine = 1 << 14
     xs = (np.arange(fine) + 0.5) / fine
     rho_fine = rho[np.floor(xs * GRID.nx).astype(int)]
@@ -81,7 +82,7 @@ def test_mass_function_matches_direct_integral():
 
 
 def test_mass_function_radius_cap():
-    mass_fn = MassFunction(np.ones(GRID.nx), GRID.dx)
+    mass_fn = MassFunction(edge_cdf(np.ones(GRID.nx), GRID.dx))
     assert mass_fn.ball_mass(0.3, 0.5) == pytest.approx(1.0, abs=1e-12)
     assert mass_fn.ball_mass(0.3, 2.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
@@ -126,7 +127,7 @@ def test_gain_near_delta_concentration():
     f = GridDensity(grid, values)
     g = gain(f, Kernel.linear())
     rho = f.density()
-    mass_fn = MassFunction(rho, grid.dx)
+    mass_fn = MassFunction(edge_cdf(rho, grid.dx))
     weights = Kernel.linear()(
         mass_fn.ball_mass(
             np.broadcast_to(grid.x_centers[:, None], (4, 4)), grid.center_distances()

@@ -12,8 +12,6 @@ from topolab.ranks import (
     Configuration,
     empirical_mass,
     normalized_ranks,
-    rank,
-    rank_table,
     rank_vector,
     transition_probs,
 )
@@ -34,49 +32,48 @@ def random_config(n: int, d: int, seed: int) -> Configuration:
     return Configuration(rng.uniform(0, 1, (n, d)), rng.normal(0, 1, (n, d)))
 
 
+def lattice_config(n: int, d: int) -> Configuration:
+    """Positions on multiples of 1/16: n/16 particles share each site, so
+    distances tie exactly, also across the wrap."""
+    k = np.arange(n) % 16
+    coords = np.stack([k, 5 * k % 16], axis=1)[:, :d] / 16.0
+    return Configuration(coords, np.zeros((n, d)))
+
+
 def test_four_particle_line_with_torus_tie():
     # torus distance from 0.0 to 0.7 is 0.3, tying particle 2 (up to float
     # rounding of the wrap); the lower index comes first either way
     config = Configuration(np.array([0.0, 0.1, 0.3, 0.7]), np.zeros(4))
-    assert rank(config, 0, 1) == 1
-    assert rank(config, 0, 2) == 2
-    assert rank(config, 0, 3) == 3
+    assert list(rank_vector(config, 0)) == [0, 1, 2, 3]
 
 
-def test_exact_tie_is_counted_and_broken_by_index():
+def test_exact_tie_is_broken_by_index():
     # 0.25 and 0.75 are exactly representable; both sit at distance 0.25 from 0
     config = Configuration(np.array([0.0, 0.25, 0.75, 0.5]), np.zeros(4))
-    table = rank_table(config, 0)
-    assert table.tie_breaks == 1
-    assert rank(config, 0, 1) == 1
-    assert rank(config, 0, 2) == 2
-    assert rank(config, 0, 3) == 3
+    assert list(rank_vector(config, 0)) == [0, 1, 2, 3]
 
 
 def test_two_particles():
     config = Configuration(np.array([0.2, 0.9]), np.zeros(2))
-    assert rank(config, 0, 1) == 1
-    assert rank(config, 1, 0) == 1
+    assert rank_vector(config, 0)[1] == 1
+    assert rank_vector(config, 1)[0] == 1
 
 
 def test_rank_errors():
     config = random_config(5, 1, 0)
-    with pytest.raises(ValueError):
-        rank(config, 2, 2)
-    with pytest.raises(IndexError):
-        rank(config, 0, 5)
-    with pytest.raises(IndexError):
-        rank_table(config, -1)
+    for focal in (-1, config.n):
+        with pytest.raises(IndexError):
+            rank_vector(config, focal)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_rank_matches_brute_force_64(d):
-    config = random_config(64, d, seed=101 + d)
-    for i in range(config.n):
-        ranks = rank_vector(config, i)
-        for j in range(config.n):
-            if j != i:
-                assert ranks[j] == brute_force_rank(config, i, j)
+    for config in (random_config(64, d, seed=101 + d), lattice_config(64, d)):
+        for i in range(config.n):
+            ranks = rank_vector(config, i)
+            for j in range(config.n):
+                if j != i:
+                    assert ranks[j] == brute_force_rank(config, i, j)
 
 
 def test_rank_is_bijection():
@@ -85,14 +82,6 @@ def test_rank_is_bijection():
         ranks = rank_vector(config, i)
         others = np.delete(ranks, i)
         assert sorted(others) == list(range(1, config.n))
-
-
-def test_rank_table_distances_non_decreasing():
-    for d in (1, 2):
-        config = random_config(33, d, seed=11 * d)
-        for i in range(0, config.n, 7):
-            table = rank_table(config, i)
-            assert np.all(np.diff(table.distances) >= 0)
 
 
 def test_empirical_mass_examples():
