@@ -35,6 +35,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     except (OSError, ValueError) as exc:
         # a missing or unreadable file, undecodable text, or broken JSON
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(spec, dict):  # from_json would decode a JSON string once more
+        raise ConfigError(f"config file {path} does not hold a JSON object")
     if args.seed is not None:
         spec["seed"] = args.seed
     return ExperimentConfig.from_json(spec)

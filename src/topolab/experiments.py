@@ -79,6 +79,8 @@ class ExperimentConfig:
             spec = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(spec, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(spec).__name__}")
         version = spec.get("version")
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version!r}, expected {CONFIG_VERSION}")

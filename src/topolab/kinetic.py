@@ -27,6 +27,7 @@ velocity support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .initial import InitialLaw
 from .kernels import Kernel
 
 # part of the kinetic cache key: bump it whenever a change can alter the output
-SOLVER_VERSION = 1
+SOLVER_VERSION = 2
 
 _MASS_TOL = 1e-10
 _NEGATIVITY_TOL = -1e-12
@@ -79,11 +80,6 @@ class PhaseGrid:
     @property
     def v_edges(self) -> np.ndarray:
         return -self.v_max + np.arange(self.nv + 1) * self.dv
-
-    def center_distances(self) -> np.ndarray:
-        """Torus distance matrix between x-cell centers."""
-        k = np.abs(np.arange(self.nx)[:, None] - np.arange(self.nx)[None, :])
-        return np.minimum(k, self.nx - k) * self.dx
 
 
 @dataclass
@@ -176,19 +172,34 @@ class MassFunction:
         radii = np.concatenate([[0.0], inner[inner < 0.5], [0.5]])
         return radii, self.ball_mass((i + 0.5) * dx, radii)
 
+    def center_ball_masses(self) -> np.ndarray:
+        """Table M[i, k] = m(x_i, k dx) of ball masses around cell centers, k <= nx // 2."""
+        nx = self.edge_cdf.size - 1
+        h = nx // 2
+        # x_i +- k dx is a cell center: M[i, k] = C[i+k] - C[i-k] for the CDF C there
+        centers = (np.arange(-h, nx + h) + 0.5) * (1.0 / nx)
+        windows = np.lib.stride_tricks.sliding_window_view(self._cdf(centers), h + 1)
+        return windows[h:h + nx] - windows[:nx, ::-1]
+
 
 def gain_weights(
     mass_fn: MassFunction, grid: PhaseGrid, kernel: Kernel, quad_scale: float = 1.0
 ) -> np.ndarray:
     """Quadrature matrix W[i, j] = K(m(x_i, dist(x_i, x_j))) * dx.
 
+    dist is k <= nx // 2 whole cells, so W gathers from K(center_ball_masses).
     ``quad_scale`` perturbs the quadrature weight; it exists so oracle checks
     can demonstrate they detect a miscalibrated weight, and is 1 in real use.
     """
-    centers = grid.x_centers
-    dist = grid.center_distances()
-    masses = mass_fn.ball_mass(np.broadcast_to(centers[:, None], dist.shape), dist)
-    return kernel(masses) * (grid.dx * quad_scale)
+    half = kernel(mass_fn.center_ball_masses()) * (grid.dx * quad_scale)
+    return np.take(half, _offset_index(grid.nx))
+
+
+@lru_cache(maxsize=4)
+def _offset_index(nx: int) -> np.ndarray:
+    """For each W[i, j], the flat index of its entry in the (nx, nx // 2 + 1) half table."""
+    k = np.abs(np.arange(nx)[:, None] - np.arange(nx))
+    return np.minimum(k, nx - k) + (nx // 2 + 1) * np.arange(nx)[:, None]
 
 
 def gain(f: GridDensity, kernel: Kernel) -> np.ndarray:

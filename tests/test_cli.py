@@ -96,6 +96,13 @@ def test_invalid_config_is_validation_error(tmp_path, capsys):
         assert rc == EXIT_CONFIG, message
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+    # valid JSON that is not an object, with and without a seed override
+    for spec, extra in (([1, 2], []), ([1, 2], ["--seed", "5"]), ("text", ["--seed", "5"])):
+        config = write_config(tmp_path, spec)
+        rc = main(["convergence", "--config", str(config), "--out", str(tmp_path / "out"), *extra])
+        assert rc == EXIT_CONFIG
+        assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_broken_json_is_validation_error(tmp_path):

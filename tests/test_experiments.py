@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import topolab.experiments as experiments
 from topolab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -47,6 +48,12 @@ def test_config_round_trip():
 def test_config_rejects_unknown_version():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(base_spec(version=99))
+
+
+def test_config_rejects_non_object_json():
+    for spec in ([1, 2], "[1, 2]", "3", None):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_json(spec)
 
 
 def test_config_rejects_bad_n_values():
@@ -94,6 +101,14 @@ def test_kinetic_cache_round_trip(tmp_path):
     np.testing.assert_array_equal(first.times, second.times)
     for a, b in zip(first.snapshots, second.snapshots):
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_kinetic_cache_key_changes_with_solver_version(monkeypatch):
+    # a cache file written by an older solver sits at another key: a miss
+    config = ExperimentConfig.from_json(base_spec())
+    key = config.kinetic_cache_key()
+    monkeypatch.setattr(experiments, "SOLVER_VERSION", experiments.SOLVER_VERSION - 1)
+    assert config.kinetic_cache_key() != key
 
 
 def test_kinetic_cache_with_wrong_times_is_recomputed(tmp_path):

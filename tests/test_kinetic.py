@@ -13,6 +13,7 @@ from topolab.kinetic import (
     density_to_csv,
     edge_cdf,
     gain,
+    gain_weights,
     initial_density,
     l1_distance,
     solve,
@@ -26,6 +27,25 @@ GRID = PhaseGrid(nx=64, nv=5, v_max=1.25)
 def law(amplitude: float = 0.3) -> InitialLaw:
     pos = PositionLaw.cosine(amplitude) if amplitude else PositionLaw.uniform()
     return InitialLaw((pos,), VelocityLaw.two_point())
+
+
+def _dense_gain_weights(
+    mass_fn: MassFunction, grid: PhaseGrid, kernel: Kernel, quad_scale: float = 1.0
+) -> np.ndarray:
+    """Oracle for `gain_weights`: one CDF interpolation per (center, distance) pair."""
+    k = np.abs(np.arange(grid.nx)[:, None] - np.arange(grid.nx)[None, :])
+    dist = np.minimum(k, grid.nx - k) * grid.dx
+    masses = mass_fn.ball_mass(np.broadcast_to(grid.x_centers[:, None], dist.shape), dist)
+    return kernel(masses) * (grid.dx * quad_scale)
+
+
+def assert_matches_dense(weights: np.ndarray, dense: np.ndarray) -> None:
+    """Bit-identical on dyadic grids; elsewhere x_i + k dx and x_{i+k} may round apart."""
+    nx = dense.shape[0]
+    if nx & (nx - 1) == 0:
+        np.testing.assert_array_equal(weights, dense)
+    else:
+        np.testing.assert_allclose(weights, dense, rtol=0.0, atol=1e-15)
 
 
 def test_initial_density_mass_and_marginals():
@@ -127,14 +147,23 @@ def test_gain_near_delta_concentration():
     f = GridDensity(grid, values)
     g = gain(f, Kernel.linear())
     rho = f.density()
-    mass_fn = MassFunction(edge_cdf(rho, grid.dx))
-    weights = Kernel.linear()(
-        mass_fn.ball_mass(
-            np.broadcast_to(grid.x_centers[:, None], (4, 4)), grid.center_distances()
-        )
-    ) * grid.dx
+    weights = _dense_gain_weights(MassFunction(edge_cdf(rho, grid.dx)), grid, Kernel.linear())
     np.testing.assert_allclose(g, rho[:, None] * (weights @ f.values), atol=1e-14)
     assert g[0].sum() == pytest.approx(0.0, abs=1e-12)  # rho[0] = 0 stays empty
+
+
+@pytest.mark.parametrize("quad_scale", [1.0, 1.01])
+@pytest.mark.parametrize("preset", sorted(preset_kernels()))
+@pytest.mark.parametrize("nx", [2, 3, 4, 7, 64, 100, 127, 128, 300, 512])
+def test_gain_weights_match_dense_oracle(nx, preset, quad_scale):
+    grid = PhaseGrid(nx=nx, nv=1, v_max=1.0)
+    rho = np.random.default_rng(nx).uniform(0.05, 2.0, nx)
+    mass_fn = MassFunction(edge_cdf(rho / (rho.sum() * grid.dx), grid.dx))
+    kernel = preset_kernels()[preset]
+    assert_matches_dense(
+        gain_weights(mass_fn, grid, kernel, quad_scale),
+        _dense_gain_weights(mass_fn, grid, kernel, quad_scale),
+    )
 
 
 def test_coarea_flat_kernel_exact():
