@@ -68,7 +68,7 @@ class Configuration:
 
     def transport_inplace(self, dt: float) -> None:
         self.positions += self.velocities * dt
-        np.mod(self.positions, 1.0, out=self.positions)
+        self.positions -= np.floor(self.positions)
 
 
 def rank_vector(config: Configuration, i: int) -> np.ndarray:

@@ -176,3 +176,27 @@ def test_configuration_wraps_and_validates():
         Configuration(np.array([0.1]), np.array([0.0]))
     with pytest.raises(ValueError):
         Configuration(np.zeros((3, 3)), np.zeros((3, 3)))
+
+
+def test_wrap_and_1d_distances_keep_the_old_bits():
+    # x - floor(x) and |delta| replace np.mod(x, 1) and sqrt(delta^2); the
+    # event stream is pinned byte for byte, so they must agree to the bit
+    edges = np.array(
+        [-1.0, -0.0, 0.0, -1e-17, 1.0 - 1e-17, 1.0, 5e-324, -5e-324, -2.5, 3.75, 1e17, -1e17]
+    )
+    rng = np.random.default_rng(42)
+    x = np.concatenate([edges, rng.uniform(-3.0, 3.0, 100_000), rng.normal(0.0, 1e-12, 1000)])
+    np.testing.assert_array_equal(torus.wrap(x).view(np.int64), np.mod(x, 1.0).view(np.int64))
+
+    config = Configuration(np.zeros(x.size), x)
+    config.transport_inplace(1.0)
+    np.testing.assert_array_equal(
+        config.positions[:, 0].view(np.int64), np.mod(x, 1.0).view(np.int64)
+    )
+
+    points = torus.wrap(rng.uniform(0.0, 1.0, (100_000, 1)))
+    for center in (points[0], np.array([0.0]), np.array([0.5]), np.array([1.0 - 1e-17])):
+        delta = torus.coordinate_delta(points, center[np.newaxis, :])
+        old = np.sqrt(np.sum(delta * delta, axis=1))
+        new = torus.distances_from(points, center)
+        np.testing.assert_array_equal(new.view(np.int64), old.view(np.int64))
