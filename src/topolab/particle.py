@@ -22,7 +22,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .kernels import Kernel
-from .ranks import Configuration, partner_distribution, transition_probs
+from .ranks import (
+    Configuration,
+    draw_index,
+    partner_at_rank,
+    partner_distribution,  # noqa: F401  (a module attribute that bench/spans.py wraps)
+    rank_cdf,
+    transition_probs,
+)
 
 _MAX_MASTER_STATES = 256
 
@@ -61,14 +68,11 @@ class Trajectory:
 
 
 def categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Draw an index from a probability vector by inverse CDF.
+    """Draw an index from a probability vector by inverse CDF (`draw_index`).
 
-    Zero-probability atoms are never returned (their cumulative segment has
-    zero width, and boundary hits resolve past the flat run).
+    Zero-probability atoms are never returned.
     """
-    c = np.cumsum(probs)
-    idx = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-    return min(idx, len(probs) - 1)
+    return draw_index(rng, np.cumsum(probs))
 
 
 def run_clock(
@@ -115,9 +119,9 @@ def simulate(
     """Exact realization of the jump process up to the horizon.
 
     Snapshots are taken at the requested times by materializing the free
-    streaming from the last event; they do not perturb the chain.  With
-    ``frozen_positions`` the transport is skipped, so the transition matrix is
-    constant and cached.
+    streaming from the last event; they do not perturb the chain.  An event
+    draws the partner's rank from the fixed rank law and then finds the
+    particle of that rank.  With ``frozen_positions`` the transport is skipped.
     """
     if initial.n != params.n:
         raise ValueError(f"initial configuration has n={initial.n}, params say {params.n}")
@@ -135,9 +139,7 @@ def simulate(
     partners: list[int] = []
     ranks_log: list[int] = []
     count = 0
-
-    # frozen positions keep every transition row constant: compute them once
-    table = [partner_distribution(state, params.kernel, i) for i in range(n)] if frozen else []
+    cdf = rank_cdf(params.kernel, n)
 
     def snapshot(s: float, t: float) -> None:
         snapshots[s] = state.copy() if frozen else state.transported(s - t)
@@ -145,8 +147,8 @@ def simulate(
     def event(t: float) -> None:
         nonlocal count
         i = int(rng.integers(n))
-        probs, ranks = table[i] if frozen else partner_distribution(state, params.kernel, i)
-        j = categorical(rng, probs)
+        h = draw_index(rng, cdf)
+        j = partner_at_rank(state, i, h)
         state.velocities[i] = state.velocities[j]
         count += 1
         if record_events:
@@ -154,7 +156,7 @@ def simulate(
             focals.append(i)
             partners.append(j)
         if record_ranks:
-            ranks_log.append(int(ranks[j]))
+            ranks_log.append(h)
 
     advance = (lambda dt: None) if frozen else state.transport_inplace
     run_clock(n, params.horizon, rng, snapshot_times, advance, snapshot, event)

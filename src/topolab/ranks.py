@@ -6,6 +6,12 @@ from i, with distance ties broken by ascending particle index so that the
 ranks always form a bijection onto {1, ..., n-1}.  Normalized ranks
 rank/(n-1) coincide with the closed-ball empirical mass at the partner's
 distance whenever interparticle distances are pairwise distinct.
+
+The rank law K(h/(n-1)) does not depend on the positions, so the simulations
+draw a partner's rank first (`rank_cdf`, `draw_index`) and then find the
+particle of that rank with one partition (`partner_at_rank`).  The full rank
+vector and probability vector (`rank_vector`, `partner_distribution`) are
+built only where a whole row is needed.
 """
 
 from __future__ import annotations
@@ -86,6 +92,54 @@ def rank_vector(config: Configuration, i: int) -> np.ndarray:
     ranks = np.empty(n, dtype=np.int64)
     ranks[np.argsort(dist, kind="stable")] = np.arange(n)
     return ranks
+
+
+def partner_at_rank(config: Configuration, i: int, h: int) -> int:
+    """The particle of rank h around focal i: ``argsort(d, kind="stable")[h]`` in O(n).
+
+    d holds the torus distances from i with d[i] = -1, as in `rank_vector`.
+    One partition finds the h-th smallest distance d*; the particle is then
+    the one at d* that comes (h - #{d < d*})-th in index order, which is the
+    stable sort's tie-break.
+    """
+    n = config.n
+    if not (0 <= i < n and 0 <= h < n):
+        raise IndexError(f"focal {i} or rank {h} out of range for n={n}")
+    dist = torus.distances_from(config.positions, config.positions[i])
+    dist[i] = -1.0
+    part = np.partition(dist, h)
+    d_star = part[h]
+    closer = int(np.count_nonzero(part[:h] < d_star))
+    return int(np.flatnonzero(dist == d_star)[h - closer])
+
+
+def rank_cdf(kernel: Kernel, n: int) -> np.ndarray:
+    """Cumulative partner-rank weights: entry h is sum_{s=1..h} K(s/(n-1)).
+
+    The rank law is the same around every focal particle and at every time,
+    so one array serves a whole trajectory.  Rank 0, the focal particle
+    itself, weighs 0.
+    """
+    weights = kernel(np.arange(n) / (n - 1))
+    weights[0] = 0.0
+    cdf = np.cumsum(weights)
+    if cdf[-1] <= 0.0:
+        raise DegenerateNormalizationError(f"kernel vanishes at every occurring rank (n={n})")
+    return cdf
+
+
+def draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """An index h drawn with probability (cdf[h] - cdf[h-1]) / cdf[-1], by inverse CDF.
+
+    With ``side="right"`` a zero-weight index is a flat run of the CDF and is
+    never drawn; a uniform that rounds up to the total falls back to the last
+    index with weight.  On `rank_cdf` this draws a partner rank h with
+    probability K(h/(n-1)) / sum_s K(s/(n-1)).
+    """
+    h = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    if h == cdf.size:
+        h = int(np.searchsorted(cdf, cdf[-1]))
+    return h
 
 
 def normalized_ranks(config: Configuration, i: int) -> np.ndarray:

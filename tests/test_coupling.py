@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from topolab import torus
 from topolab.coupling import (
+    _RESIDUAL_TOL,
     CoupledState,
     CouplingDiagnostics,
     SolutionReference,
@@ -11,14 +13,15 @@ from topolab.coupling import (
     coupled_event,
     decoupling_bound,
     lln_diagnostic,
+    pair_rates,
     run_coupled_trial,
     tv_estimate,
 )
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
-from topolab.kernels import Kernel, rate_normalization
+from topolab.kernels import Kernel, preset_kernels, rate_normalization
 from topolab.kinetic import PhaseGrid, initial_density, solve
-from topolab.particle import ProcessParams, simulate
-from topolab.ranks import Configuration
+from topolab.particle import ProcessParams, categorical, simulate
+from topolab.ranks import Configuration, partner_distribution, rank_cdf
 
 V_EDGES = PhaseGrid(nx=8, nv=5, v_max=1.25).v_edges
 
@@ -64,11 +67,12 @@ def test_lattice_construction_suppresses_one_sided_jumps():
     kernel = Kernel.linear()
     ref = UniformReference(VelocityLaw.two_point(), d=1)
     alpha = rate_normalization(kernel, n)
+    cdf = rank_cdf(kernel, n)
     rng = np.random.default_rng(3)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
     for _ in range(500):
-        coupled_event(state, kernel, ref, alpha, rng, diag)
+        coupled_event(state, kernel, ref, alpha, cdf, rng, diag)
     assert diag.z_only == 0
     assert diag.joint == 500
     assert state.decoupled_fraction() == 0.0
@@ -109,9 +113,6 @@ def test_residual_probabilities_sane_per_event():
     alpha = rate_normalization(kernel, n)
     state = CoupledState.delta(initial)
     rng = np.random.default_rng(2)
-    from topolab import torus
-    from topolab.ranks import partner_distribution
-
     for _ in range(200):
         gap = rng.exponential(1.0 / n)
         if state.t + gap > 0.95:
@@ -131,6 +132,121 @@ def test_residual_probabilities_sane_per_event():
         atom = min(resid, 1.0 - big)
         fresh = max(1.0 - big - resid, 0.0)
         assert big + atom + fresh == pytest.approx(1.0, abs=1e-12)
+
+
+def _full_rows(state, kernel, reference, alpha, i):
+    """pi_n(i, .), its rank vector and pi_rho(i, .), built over all n partners."""
+    pi_n, ranks = partner_distribution(state.z, kernel, i)
+    radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
+    pi_rho = alpha * np.asarray(kernel(reference.ball_mass(state.t, state.sigma.positions[i], radii)))
+    pi_rho[i] = 0.0
+    return pi_n, ranks, pi_rho
+
+
+def _oracle_coupled_event(state, kernel, reference, alpha, rng, diag):
+    """The coupled event drawn from the full rows: partner by categorical(pi_n),
+    joint with probability lam[j] / pi_n[j].  The law the rank-first event must keep."""
+    n = state.z.n
+    i = int(rng.integers(n))
+    pi_n, ranks, pi_rho = _full_rows(state, kernel, reference, alpha, i)
+    lam = np.minimum(pi_n, pi_rho)
+    big_lambda = float(lam.sum())
+    j = categorical(rng, pi_n)
+    diag.partner_ranks.append(int(ranks[j]))
+    if rng.random() * pi_n[j] < lam[j]:
+        same = bool(np.array_equal(state.z.velocities[j], state.sigma.velocities[j]))
+        state.z.velocities[i] = state.z.velocities[j]
+        state.sigma.velocities[i] = state.sigma.velocities[j]
+        state.coupled[i] = state.coupled[i] and same
+        diag.joint += 1
+        return
+    state.z.velocities[i] = state.z.velocities[j]
+    state.coupled[i] = False
+    diag.z_only += 1
+    residual = pi_rho - lam
+    assert residual.min() >= _RESIDUAL_TOL
+    np.maximum(residual, 0.0, out=residual)
+    resid_mass = float(residual.sum())
+    available = 1.0 - big_lambda
+    if resid_mass >= available:
+        diag.rescale_sum += resid_mass - available
+        atom_prob = 1.0
+    else:
+        atom_prob = resid_mass / available if available > 0.0 else 0.0
+    if resid_mass > 0.0 and rng.random() < atom_prob:
+        state.sigma.velocities[i] = state.sigma.velocities[categorical(rng, residual)]
+        diag.sigma_atom += 1
+    else:
+        state.sigma.velocities[i] = reference.fresh_velocity(state.t, state.sigma.positions[i], rng)
+        diag.fresh_draw += 1
+
+
+def _evolved_state(kernel, reference, n, seed, events=150):
+    """A coupled state after some transported events, with decoupled pairs apart."""
+    rng = np.random.default_rng(seed)
+    state = CoupledState.delta(sample_initial(uniform_law(), n, seed))
+    alpha, cdf = rate_normalization(kernel, n), rank_cdf(kernel, n)
+    diag = CouplingDiagnostics()
+    for _ in range(events):
+        state.transport(0.2 * rng.exponential(1.0 / n))  # about 0.75 in all, inside the reference
+        coupled_event(state, kernel, reference, alpha, cdf, rng, diag)
+    return state
+
+
+@pytest.mark.parametrize("preset", sorted(preset_kernels()))
+def test_pair_rates_match_full_row_oracle(preset):
+    # the joint-jump probability at every (i, j) is the oracle's lam[j] / pi_n[j],
+    # and pi_rho at the pair is the full row's entry to the bit
+    kernel = preset_kernels()[preset]
+    n = 40
+    alpha = rate_normalization(kernel, n)
+    for reference in (UniformReference(VelocityLaw.two_point(), d=1), kinetic_reference(kernel, nx=64)):
+        state = _evolved_state(kernel, reference, n, seed=len(preset))
+        assert preset == "uniform" or not state.coupled.all()  # K = 1 never decouples
+        worst = 0.0
+        for i in range(n):
+            pi_n, ranks, pi_rho = _full_rows(state, kernel, reference, alpha, i)
+            lam = np.minimum(pi_n, pi_rho)
+            for j in np.flatnonzero(pi_n > 0.0):
+                a, b = pair_rates(state, kernel, reference, alpha, i, int(j), int(ranks[j]))
+                assert b == pi_rho[j]
+                worst = max(worst, abs(min(a, b) / a - lam[j] / pi_n[j]))
+        assert worst <= 1e-15
+
+
+def test_rank_first_event_has_the_oracle_law():
+    # positions stay fixed, so every event draws (i, rank, class) from one law;
+    # the rank-first event and the full-row oracle must agree on it
+    kernel = Kernel.linear()
+    n, events = 16, 20_000
+    reference = UniformReference(VelocityLaw.two_point(), d=1)
+    initial = sample_initial(uniform_law(), n, 29)
+    alpha, cdf = rate_normalization(kernel, n), rank_cdf(kernel, n)
+    tables = []
+    for oracle in (False, True):
+        state = CoupledState.delta(initial)
+        diag = CouplingDiagnostics()
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=43, spawn_key=(int(oracle),)))
+        classes = np.zeros((n, 3), dtype=np.int64)  # per rank: joint, sigma atom, fresh draw
+        for _ in range(events):
+            before = (diag.joint, diag.sigma_atom, diag.fresh_draw)
+            if oracle:
+                _oracle_coupled_event(state, kernel, reference, alpha, rng, diag)
+            else:
+                coupled_event(state, kernel, reference, alpha, cdf, rng, diag, record_ranks=True)
+            after = (diag.joint, diag.sigma_atom, diag.fresh_draw)
+            classes[diag.partner_ranks[-1]] += np.subtract(after, before)
+        tables.append(classes)
+    new, old = tables
+    by_rank = np.stack([new.sum(axis=1), old.sum(axis=1)])
+    by_rank = by_rank[:, by_rank.sum(axis=0) > 0]  # rank 0 and the top rank weigh 0
+    assert stats.chi2_contingency(by_rank).pvalue > 0.01
+    by_class = np.stack([new.sum(axis=0), old.sum(axis=0)])
+    assert np.all(by_class[:, 0] > 0) and np.all(by_class[:, 1:].sum(axis=1) > 200)
+    assert stats.chi2_contingency(by_class).pvalue > 0.01
+    one_sided = np.stack([new[:, 1:].sum(axis=1), old[:, 1:].sum(axis=1)])
+    one_sided = one_sided[:, one_sided.sum(axis=0) > 0]
+    assert stats.chi2_contingency(one_sided).pvalue > 0.01
 
 
 def test_tv_estimate_identical_and_disjoint():
@@ -236,6 +352,7 @@ def test_coupled_flags_imply_exact_equality():
     ref = kinetic_reference(kernel)
     rng = np.random.default_rng(5)
     alpha = rate_normalization(kernel, 48)
+    cdf = rank_cdf(kernel, 48)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
     for _ in range(300):
@@ -243,7 +360,7 @@ def test_coupled_flags_imply_exact_equality():
         if state.t + gap > 0.98:
             break
         state.transport(gap)
-        coupled_event(state, kernel, ref, alpha, rng, diag)
+        coupled_event(state, kernel, ref, alpha, cdf, rng, diag)
         still = state.coupled
         np.testing.assert_array_equal(
             state.z.positions[still], state.sigma.positions[still]

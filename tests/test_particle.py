@@ -27,6 +27,12 @@ def test_categorical_skips_zero_probability_atoms():
     draws = {categorical(rng, probs) for _ in range(200)}
     assert draws == {1, 3}
 
+    class TopUniform:  # a uniform that rounds u * total up to the total
+        def random(self) -> float:
+            return 1.0
+
+    assert categorical(TopUniform(), probs) == 3
+
 
 def test_two_particles_forced_partner():
     # with one partner each, the first event copies one velocity onto the other
