@@ -119,10 +119,7 @@ def test_residual_probabilities_sane_per_event():
             break
         state.transport(gap)
         i = int(rng.integers(n))
-        pi_n, _ = partner_distribution(state.z, kernel, i)
-        radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
-        pi_rho = alpha * np.asarray(kernel(ref.ball_mass(state.t, state.sigma.positions[i], radii)))
-        pi_rho[i] = 0.0
+        pi_n, _, pi_rho = _full_rows(state, kernel, ref, alpha, i)
         lam = np.minimum(pi_n, pi_rho)
         assert np.all(lam >= 0)
         assert np.all(pi_rho - lam >= -1e-12)
