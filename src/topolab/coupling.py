@@ -39,7 +39,7 @@ import numpy as np
 
 from . import torus
 from .initial import VelocityLaw
-from .kernels import Kernel, rate_normalization
+from .kernels import Kernel
 from .kinetic import KineticSolution, MassFunction, PhaseGrid, edge_cdf
 from .particle import categorical, empirical_marginal, run_clock
 from .ranks import Configuration, draw_index, partner_at_rank, partner_distribution, rank_cdf
@@ -212,7 +212,6 @@ def coupled_event(
     state: CoupledState,
     kernel: Kernel,
     reference: Reference,
-    alpha: float,
     ranks_cdf: np.ndarray,
     rng: np.random.Generator,
     diag: CouplingDiagnostics,
@@ -220,11 +219,12 @@ def coupled_event(
 ) -> None:
     """One clock ring: joint maximal-coupling jump or one-sided completion.
 
-    ``alpha`` and ``ranks_cdf`` (`rate_normalization` and `rank_cdf` for n)
-    are fixed for a trajectory.  Transport to the event time is done by the
-    caller; this routine only performs the jump and the bookkeeping.
+    ``ranks_cdf`` is `rank_cdf` for n, fixed for a trajectory; its total is
+    the rate normalization 1/alpha.  Transport to the event time is done by
+    the caller; this routine only performs the jump and the bookkeeping.
     """
     n = state.z.n
+    alpha = 1.0 / ranks_cdf[-1]
     i = int(rng.integers(n))
     h = draw_index(rng, ranks_cdf)
     j = partner_at_rank(state.z, i, h)
@@ -345,17 +345,16 @@ def z_marginal_report(
 
     The Z marginal is exact by construction (the partner is drawn from the
     rank probabilities before any coupling decision), so this is a check of
-    the implementation: partner-rank frequencies, per-trial counts of
-    positive velocities at the probe times, and per-trial event counts are
-    compared by two-sample tests.  Ranks past ``tail_rank`` are merged into
-    one bucket because the kernel weight vanishes toward the top rank.
+    the implementation: partner-rank frequencies, pooled velocity signs at
+    the probe times, and per-trial event counts are compared by two-sample
+    tests.  Ranks past ``tail_rank`` are merged into one bucket because the
+    kernel weight vanishes toward the top rank.
 
-    Velocities are compared per trial, not pooled over particles: jumps copy
-    velocities between the particles of one trajectory, so its n signs are
-    correlated (at n = 64, t = 1 the variance of a trial's count is about
-    three times the binomial one), and a pooled test rejects far more often
-    than its significance says.  Partner ranks are drawn independently of
-    the state, so pooling them is sound.
+    Both runs of a trial start from the same initial configuration, so the
+    velocity comparison sees only what the two dynamics did to it, not the
+    sampling noise of two independent initial draws.  The pooled signs of
+    one trajectory are still not independent (jumps copy velocities), so
+    the velocity test rejects correct code more often than its level says.
     """
     from scipy import stats
 
@@ -364,8 +363,8 @@ def z_marginal_report(
 
     coupled_ranks, standalone_ranks = [], []
     coupled_counts, standalone_counts = [], []
-    coupled_plus: dict[float, list[int]] = {t: [] for t in probe_times}
-    standalone_plus: dict[float, list[int]] = {t: [] for t in probe_times}
+    coupled_plus = {t: 0 for t in probe_times}
+    standalone_plus = {t: 0 for t in probe_times}
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)))
         initial = sample_initial(law, n, np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))
@@ -376,13 +375,13 @@ def z_marginal_report(
         coupled_ranks.append(rec.partner_ranks)
         coupled_counts.append(rec.event_count)
         for t in probe_times:
-            coupled_plus[t].append(int(np.sum(rec.z_snapshots[t].velocities > 0)))
+            coupled_plus[t] += int(np.sum(rec.z_snapshots[t].velocities > 0))
 
         params = ProcessParams(kernel=kernel, n=n, horizon=horizon)
         rng2 = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 2)))
         traj = simulate(
             params,
-            sample_initial(law, n, np.random.SeedSequence(entropy=seed, spawn_key=(trial, 3))),
+            initial,
             snapshot_times=probe_times,
             record_events=False,
             record_ranks=True,
@@ -391,7 +390,7 @@ def z_marginal_report(
         standalone_ranks.append(traj.event_rank)
         standalone_counts.append(traj.event_count)
         for t in probe_times:
-            standalone_plus[t].append(int(np.sum(traj.snapshots[t].velocities > 0)))
+            standalone_plus[t] += int(np.sum(traj.snapshots[t].velocities > 0))
 
     a = np.bincount(np.concatenate(coupled_ranks), minlength=n)[1:]
     b = np.bincount(np.concatenate(standalone_ranks), minlength=n)[1:]
@@ -401,10 +400,16 @@ def z_marginal_report(
     )
     rank_pvalue = float(stats.chi2_contingency(table).pvalue)
 
-    velocity_pvalues = {
-        t: float(stats.mannwhitneyu(coupled_plus[t], standalone_plus[t]).pvalue)
-        for t in probe_times
-    }
+    pooled = trials * n
+    velocity_pvalues = {}
+    for t in probe_times:
+        cont = np.array(
+            [
+                [coupled_plus[t], pooled - coupled_plus[t]],
+                [standalone_plus[t], pooled - standalone_plus[t]],
+            ]
+        )
+        velocity_pvalues[t] = float(stats.chi2_contingency(cont).pvalue)
 
     count_pvalue = float(stats.mannwhitneyu(coupled_counts, standalone_counts).pvalue)
     return MarginalReport(
@@ -452,7 +457,6 @@ def run_coupled_trial(
 ) -> TrialRecord:
     """One coupled trajectory from the delta coupling, sampled at snapshot times."""
     n = initial.n
-    alpha = rate_normalization(kernel, n)
     ranks_cdf = rank_cdf(kernel, n)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
@@ -485,7 +489,7 @@ def run_coupled_trial(
         )
 
     def event(t: float) -> None:
-        coupled_event(state, kernel, reference, alpha, ranks_cdf, rng, diag, record_ranks=record_ranks)
+        coupled_event(state, kernel, reference, ranks_cdf, rng, diag, record_ranks=record_ranks)
 
     run_clock(n, horizon, rng, snapshot_times, state.transport, snapshot, event)
     cols = list(zip(*rows)) if rows else [[] for _ in range(9)]

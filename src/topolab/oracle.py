@@ -232,12 +232,11 @@ def check_lattice_joint_saturation() -> OracleResult:
     state = CoupledState.delta(Configuration(positions, np.zeros(n)))
     kernel = Kernel.linear()
     ref = UniformReference(VelocityLaw.two_point(), d=1)
-    alpha = rate_normalization(kernel, n)
     cdf = rank_cdf(kernel, n)
     rng = np.random.default_rng(7)
     diag = CouplingDiagnostics()
     for _ in range(400):
-        coupled_event(state, kernel, ref, alpha, cdf, rng, diag)
+        coupled_event(state, kernel, ref, cdf, rng, diag)
     passed = diag.z_only == 0 and state.decoupled_fraction() == 0.0
     return OracleResult(
         "lattice-joint-saturation", passed, f"{diag.joint} joint, {diag.z_only} one-sided"

@@ -66,13 +66,12 @@ def test_lattice_construction_suppresses_one_sided_jumps():
     initial = Configuration(positions, np.zeros(n))
     kernel = Kernel.linear()
     ref = UniformReference(VelocityLaw.two_point(), d=1)
-    alpha = rate_normalization(kernel, n)
     cdf = rank_cdf(kernel, n)
     rng = np.random.default_rng(3)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
     for _ in range(500):
-        coupled_event(state, kernel, ref, alpha, cdf, rng, diag)
+        coupled_event(state, kernel, ref, cdf, rng, diag)
     assert diag.z_only == 0
     assert diag.joint == 500
     assert state.decoupled_fraction() == 0.0
@@ -182,11 +181,11 @@ def _evolved_state(kernel, reference, n, seed, events=150):
     """A coupled state after some transported events, with decoupled pairs apart."""
     rng = np.random.default_rng(seed)
     state = CoupledState.delta(sample_initial(uniform_law(), n, seed))
-    alpha, cdf = rate_normalization(kernel, n), rank_cdf(kernel, n)
+    cdf = rank_cdf(kernel, n)
     diag = CouplingDiagnostics()
     for _ in range(events):
         state.transport(0.2 * rng.exponential(1.0 / n))  # about 0.75 in all, inside the reference
-        coupled_event(state, kernel, reference, alpha, cdf, rng, diag)
+        coupled_event(state, kernel, reference, cdf, rng, diag)
     return state
 
 
@@ -230,7 +229,7 @@ def test_rank_first_event_has_the_oracle_law():
             if oracle:
                 _oracle_coupled_event(state, kernel, reference, alpha, rng, diag)
             else:
-                coupled_event(state, kernel, reference, alpha, cdf, rng, diag, record_ranks=True)
+                coupled_event(state, kernel, reference, cdf, rng, diag, record_ranks=True)
             after = (diag.joint, diag.sigma_atom, diag.fresh_draw)
             classes[diag.partner_ranks[-1]] += np.subtract(after, before)
         tables.append(classes)
@@ -348,7 +347,6 @@ def test_coupled_flags_imply_exact_equality():
     initial = sample_initial(uniform_law(), 48, 17)
     ref = kinetic_reference(kernel)
     rng = np.random.default_rng(5)
-    alpha = rate_normalization(kernel, 48)
     cdf = rank_cdf(kernel, 48)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
@@ -357,7 +355,7 @@ def test_coupled_flags_imply_exact_equality():
         if state.t + gap > 0.98:
             break
         state.transport(gap)
-        coupled_event(state, kernel, ref, alpha, cdf, rng, diag)
+        coupled_event(state, kernel, ref, cdf, rng, diag)
         still = state.coupled
         np.testing.assert_array_equal(
             state.z.positions[still], state.sigma.positions[still]

@@ -17,7 +17,7 @@ from topolab.coupling import (  # noqa: E402
     coupled_event,
 )
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial  # noqa: E402
-from topolab.kernels import preset_kernels, rate_normalization  # noqa: E402
+from topolab.kernels import preset_kernels  # noqa: E402
 from topolab.kinetic import PhaseGrid, initial_density, solve  # noqa: E402
 from topolab.ranks import rank_cdf  # noqa: E402
 
@@ -51,7 +51,7 @@ def test_coupled_pairs_identical_and_decoupling_never_reverses(n, d, preset, kin
         reference = UniformReference(law.velocity, d=2)
     rng = np.random.default_rng(seed)
     state = CoupledState.delta(sample_initial(law, n, seed))
-    alpha, cdf = rate_normalization(kernel, n), rank_cdf(kernel, n)
+    cdf = rank_cdf(kernel, n)
     diag = CouplingDiagnostics()
     while True:
         gap = rng.exponential(1.0 / n)
@@ -59,7 +59,7 @@ def test_coupled_pairs_identical_and_decoupling_never_reverses(n, d, preset, kin
             break
         before = state.coupled.copy()
         state.transport(gap)
-        coupled_event(state, kernel, reference, alpha, cdf, rng, diag)
+        coupled_event(state, kernel, reference, cdf, rng, diag)
         assert not np.any(state.coupled & ~before)
         kept = state.coupled
         np.testing.assert_array_equal(state.z.positions[kept], state.sigma.positions[kept])

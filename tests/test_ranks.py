@@ -200,3 +200,14 @@ def test_wrap_and_1d_distances_keep_the_old_bits():
         old = np.sqrt(np.sum(delta * delta, axis=1))
         new = torus.distances_from(points, center)
         np.testing.assert_array_equal(new.view(np.int64), old.view(np.int64))
+
+    # the one difference: once delta * delta underflows (|delta| below about
+    # 1e-154), sqrt(delta^2) loses digits or returns 0, while |delta| is exact
+    tiny = np.array([[1e-150], [1e-155], [1e-160], [1e-162], [5e-324], [-5e-324]])
+    center = np.array([0.0])
+    delta = torus.coordinate_delta(tiny, center[np.newaxis, :])[:, 0]
+    new = torus.distances_from(tiny, center)
+    np.testing.assert_array_equal(new, np.abs(tiny[:, 0]))
+    old = np.sqrt(delta * delta)
+    np.testing.assert_array_equal(old == new, [True, False, False, False, False, False])
+    np.testing.assert_array_equal(old[3:], 0.0)
