@@ -10,7 +10,12 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from test_ranks import lattice_config  # noqa: E402
 
 from topolab import torus  # noqa: E402
-from topolab.kernels import DegenerateNormalizationError, Kernel, preset_kernels  # noqa: E402
+from topolab.kernels import (  # noqa: E402
+    DegenerateNormalizationError,
+    Kernel,
+    preset_kernels,
+    rate_normalization,
+)
 from topolab.ranks import (  # noqa: E402
     Configuration,
     draw_index,
@@ -86,6 +91,8 @@ def test_draw_index_lands_on_a_weighted_rank(n, preset, u):
         return
     cdf = rank_cdf(kernel, n)
     np.testing.assert_array_equal(cdf, np.cumsum(weights))
+    # coupled_event takes alpha as 1 / cdf[-1]
+    assert 1.0 / cdf[-1] == pytest.approx(rate_normalization(kernel, n), rel=1e-12)
     h = draw_index(_FixedUniform(u), cdf)
     assert 1 <= h < n
     assert weights[h] > 0.0
