@@ -12,7 +12,8 @@ ranks.  At every event with focal particle i:
   * with probability min(pi_n, pi_rho)/pi_n at the drawn partner both worlds
     adopt their own particle j's velocity (joint jump).  Only the two rates
     at (i, j) are needed: pi_n = alpha K(h/(n-1)) and one ball mass for
-    pi_rho = alpha K(m_rho(x_i, |x_i - x_j|)) in the sigma world;
+    pi_rho = alpha K(m_rho(x_i, |x_i - x_j|)) in the sigma world, both
+    computed in Python floats (`pair_rates`, the references' `ball_mass`);
   * otherwise Z alone adopts v_j, and the sigma world completes its jump law
     from the full rows pi_n(i, .) and pi_rho(i, .), built on such events only:
     with the residual atom mass it adopts the velocity of a sigma-world
@@ -40,7 +41,7 @@ import numpy as np
 from . import torus
 from .initial import VelocityLaw
 from .kernels import Kernel
-from .kinetic import KineticSolution, MassFunction, PhaseGrid, edge_cdf
+from .kinetic import KineticSolution, MassFunction, PhaseGrid, ball_mass_between, edge_cdf
 from .particle import categorical, empirical_marginal, run_clock
 from .ranks import Configuration, draw_index, partner_at_rank, partner_distribution, rank_cdf
 
@@ -60,8 +61,10 @@ class SolutionReference:
 
     Ball masses and redistribution densities are evaluated on the snapshot
     linearly interpolated to the event time.  The spatial edge CDFs of all
-    snapshots are precomputed once: mass queries then cost a single O(nx)
-    interpolation per event.
+    snapshots are precomputed once.  The ball mass of one pair (`ball_mass`)
+    then interpolates only the few edge-CDF entries it reads, in Python
+    floats; a whole row of radii (`ball_masses`) interpolates all nx + 1
+    entries once.  Both give the same bits.
     """
 
     def __init__(self, solution: KineticSolution, kernel: Kernel):
@@ -71,12 +74,21 @@ class SolutionReference:
         self._edge_cdfs = np.stack(
             [edge_cdf(snap.density(), self.grid.dx) for snap in solution.snapshots]
         )
+        self._edge_lists = self._edge_cdfs.tolist()
 
     def mass_function(self, t: float) -> MassFunction:
         lo, hi, w = self.solution.bracket(t)
         return MassFunction((1.0 - w) * self._edge_cdfs[lo] + w * self._edge_cdfs[hi])
 
-    def ball_mass(self, t: float, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    def ball_mass(self, t: float, center: np.ndarray, radius: float) -> float:
+        """Reference mass of the closed ball of one radius around ``center`` (1,) at time t."""
+        lo, hi, w = self.solution.bracket(t)
+        return ball_mass_between(
+            self._edge_lists[lo], self._edge_lists[hi], w, float(center[0]), radius
+        )
+
+    def ball_masses(self, t: float, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """`ball_mass` for an array of radii."""
         return self.mass_function(t).ball_mass(float(center[0]), radii)
 
     def fresh_velocity(self, t: float, center: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -108,7 +120,12 @@ class UniformReference:
         self.velocity_law = velocity_law
         self.d = d
 
-    def ball_mass(self, t: float, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    def ball_mass(self, t: float, center: np.ndarray, radius: float) -> float:
+        if self.d == 1:
+            return min(2.0 * radius, 1.0)
+        return float(torus.uniform_ball_mass(radius, self.d))
+
+    def ball_masses(self, t: float, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
         return torus.uniform_ball_mass(radii, self.d)
 
     def fresh_velocity(self, t: float, center: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -197,14 +214,15 @@ def pair_rates(
 ) -> tuple[float, float]:
     """pi_n(i, j) and pi_rho(i, j) for the partner j of Z rank h around focal i.
 
-    The radius is computed like entry j of the full sigma-world distance
-    vector, so pi_rho equals that vector's entry to the bit.
+    Both are Python floats.  The radius is computed like entry j of the full
+    sigma-world distance vector, so pi_rho equals the full row's entry to the
+    bit.
     """
     n = state.z.n
     x_i = state.sigma.positions[i]
-    radius = torus.distances_from(state.sigma.positions[j : j + 1], x_i)
+    radius = torus.pair_distance(state.sigma.positions[j], x_i)
     pi_n = alpha * kernel(h / (n - 1))
-    pi_rho = alpha * float(kernel(reference.ball_mass(state.t, x_i, radius))[0])
+    pi_rho = alpha * kernel(reference.ball_mass(state.t, x_i, radius))
     return pi_n, pi_rho
 
 
@@ -234,7 +252,7 @@ def coupled_event(
     pi_n_j, pi_rho_j = pair_rates(state, kernel, reference, alpha, i, j, h)
     if rng.random() * pi_n_j < min(pi_n_j, pi_rho_j):
         # joint jump: both worlds adopt their particle j's velocity
-        same = bool(np.array_equal(state.z.velocities[j], state.sigma.velocities[j]))
+        same = state.z.velocities[j].tolist() == state.sigma.velocities[j].tolist()
         state.z.velocities[i] = state.z.velocities[j]
         state.sigma.velocities[i] = state.sigma.velocities[j]
         state.coupled[i] = state.coupled[i] and same
@@ -248,7 +266,7 @@ def coupled_event(
 
     pi_n, _ = partner_distribution(state.z, kernel, i)
     radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
-    pi_rho = alpha * np.asarray(kernel(reference.ball_mass(state.t, state.sigma.positions[i], radii)))
+    pi_rho = alpha * kernel(reference.ball_masses(state.t, state.sigma.positions[i], radii))
     pi_rho[i] = 0.0
     lam = np.minimum(pi_n, pi_rho)
     big_lambda = float(lam.sum())
@@ -306,7 +324,7 @@ def lln_diagnostic(config: Configuration, reference: Reference, t: float, focal:
     r = radii[others]
     sorted_r = np.sort(r)
     empirical = np.searchsorted(sorted_r, r, side="right") / (n - 1)
-    ref = reference.ball_mass(t, config.positions[focal], r)
+    ref = reference.ball_masses(t, config.positions[focal], r)
     return float(np.mean(np.abs(empirical - ref)))
 
 

@@ -39,6 +39,7 @@ _TRIALS_SCHEMA = "topolab.trials.v1"
 _AGGREGATE_SCHEMA = "topolab.aggregate.v1"
 _EVENTS_SCHEMA = "topolab.events.v1"
 _SNAPSHOTS_SCHEMA = "topolab.snapshots.v1"
+_CSV_BLOCK = 1024  # snapshot rows formatted per write
 
 
 class ConfigError(ValueError):
@@ -429,11 +430,16 @@ def write_snapshots_csv(path: Path, trajectory: Trajectory, dimension: int) -> N
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema={_SNAPSHOTS_SCHEMA}\n")
         fh.write("t,particle," + ",".join(cols) + "\n")
+        # "{:.12g}" is `_fmt`.  Rows go out in blocks, so the text of a whole
+        # snapshot is never held at once.
+        row = ",{}," + ",".join(["{:.12g}"] * (2 * dimension)) + "\n"
         for t in sorted(trajectory.snapshots):
             snap = trajectory.snapshots[t]
-            for p in range(snap.n):
-                vals = list(snap.positions[p]) + list(snap.velocities[p])
-                fh.write(f"{_fmt(t)},{p}," + ",".join(_fmt(v) for v in vals) + "\n")
+            fmt = (_fmt(t) + row).format
+            values = np.hstack([snap.positions, snap.velocities])
+            for lo in range(0, snap.n, _CSV_BLOCK):
+                block = values[lo : lo + _CSV_BLOCK].tolist()
+                fh.write("".join([fmt(p, *vals) for p, vals in enumerate(block, lo)]))
 
 
 # -- full convergence study ----------------------------------------------------------

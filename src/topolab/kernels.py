@@ -28,6 +28,8 @@ import numpy as np
 #: Number of grid points used by the monotonicity / positivity validation scan.
 _VALIDATION_GRID = 1000
 
+_CLOSED_FORMS = ("uniform", "linear", "truncated_linear")
+
 
 class KernelError(ValueError):
     """Raised for kernels violating positivity, monotonicity or normalization."""
@@ -113,7 +115,19 @@ class Kernel:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
-        """Evaluate K at normalized ranks r in [0, 1]."""
+        """Evaluate K at normalized ranks r in [0, 1].
+
+        A scalar r takes the closed forms in Python floats, with the same
+        operations as the array path and so the same bits.
+        """
+        if not isinstance(r, np.ndarray) and self.form in _CLOSED_FORMS:
+            r = float(r)
+            if self.form == "uniform":
+                return 1.0
+            if self.form == "linear":
+                return 2.0 * (1.0 - r)
+            eps = self.epsilon
+            return max((2.0 / eps) * (1.0 - r / eps), 0.0)
         r_arr = np.asarray(r, dtype=float)
         if self.form == "uniform":
             out = np.ones_like(r_arr)
@@ -134,7 +148,7 @@ class Kernel:
         The trapezoid rule is exact here because the tabulated form is
         piecewise linear between its own breakpoints.
         """
-        if self.form in ("uniform", "linear", "truncated_linear"):
+        if self.form in _CLOSED_FORMS:
             return 1.0
         return float(np.trapezoid(self.table_values, self.breakpoints))
 

@@ -26,6 +26,8 @@ velocity support.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -160,18 +162,6 @@ class MassFunction:
             raise ValueError("radius must be nonnegative")
         return self._cdf(center + r) - self._cdf(center - r)
 
-    def profile(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Radius knots and ball masses around the center of cell i.
-
-        Between consecutive knots the mass is exactly linear in the radius, so
-        this is a complete description of m(x_i, .).
-        """
-        nx = self.edge_cdf.size - 1
-        dx = 1.0 / nx
-        inner = (np.arange(nx // 2) + 0.5) * dx
-        radii = np.concatenate([[0.0], inner[inner < 0.5], [0.5]])
-        return radii, self.ball_mass((i + 0.5) * dx, radii)
-
     def center_ball_masses(self) -> np.ndarray:
         """Table M[i, k] = m(x_i, k dx) of ball masses around cell centers, k <= nx // 2."""
         nx = self.edge_cdf.size - 1
@@ -180,6 +170,35 @@ class MassFunction:
         centers = (np.arange(-h, nx + h) + 0.5) * (1.0 / nx)
         windows = np.lib.stride_tricks.sliding_window_view(self._cdf(centers), h + 1)
         return windows[h:h + nx] - windows[:nx, ::-1]
+
+
+def ball_mass_between(
+    cdf_lo: list[float], cdf_hi: list[float], w: float, center: float, radius: float
+) -> float:
+    """``MassFunction((1 - w) * cdf_lo + w * cdf_hi).ball_mass(center, radius)`` for one ball.
+
+    Interpolates in time only the edge-CDF entries the ball reads (two around
+    each of center +- r, and the total) and follows `MassFunction._cdf`'s
+    operation order, so the result has the same bits.  The edge CDFs are
+    lists, so nothing here calls numpy.
+    """
+    r = min(radius, 0.5)
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    nx = len(cdf_lo) - 1
+    v = 1.0 - w
+    total = v * cdf_lo[-1] + w * cdf_hi[-1]
+
+    def cdf(u: float) -> float:
+        k = math.floor(u)
+        pos = (u - k) * nx
+        i0 = min(int(pos), nx - 1)
+        frac = pos - i0
+        left = v * cdf_lo[i0] + w * cdf_hi[i0]
+        right = v * cdf_lo[i0 + 1] + w * cdf_hi[i0 + 1]
+        return (1.0 - frac) * left + frac * right + k * total
+
+    return cdf(center + r) - cdf(center - r)
 
 
 def gain_weights(
@@ -265,16 +284,20 @@ class KineticSolution:
     snapshots: list[GridDensity]
     drift_total: float = 0.0
 
+    def __post_init__(self) -> None:
+        self._times = np.asarray(self.times, dtype=float).tolist()
+
     def bracket(self, t: float) -> tuple[int, int, float]:
         """Snapshot indices around t and the weight of the upper one.
 
         On a stored time ``lo == hi`` and ``w == 0``: that snapshot, exactly.
+        The times are bisected as a list, which costs no numpy call.
         """
-        times = self.times
+        times = self._times
         if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
             raise ValueError(f"time {t} outside stored range [{times[0]}, {times[-1]}]")
         t = min(max(t, times[0]), times[-1])
-        idx = int(np.searchsorted(times, t))
+        idx = bisect_left(times, t)
         if times[idx] == t:
             return idx, idx, 0.0
         return idx - 1, idx, (t - times[idx - 1]) / (times[idx] - times[idx - 1])

@@ -16,6 +16,7 @@ built only where a whole row is needed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,10 @@ class Configuration:
         )
 
     def transport_inplace(self, dt: float) -> None:
-        self.positions += self.velocities * dt
-        self.positions -= np.floor(self.positions)
+        """`transported` in place, with one temporary buffer."""
+        buf = self.velocities * dt
+        self.positions += buf
+        self.positions -= np.floor(self.positions, out=buf)
 
 
 def rank_vector(config: Configuration, i: int) -> np.ndarray:
@@ -113,32 +116,35 @@ def partner_at_rank(config: Configuration, i: int, h: int) -> int:
     return int(np.flatnonzero(dist == d_star)[h - closer])
 
 
-def rank_cdf(kernel: Kernel, n: int) -> np.ndarray:
+def rank_cdf(kernel: Kernel, n: int) -> list[float]:
     """Cumulative partner-rank weights: entry h is sum_{s=1..h} K(s/(n-1)).
 
     The rank law is the same around every focal particle and at every time,
-    so one array serves a whole trajectory.  Rank 0, the focal particle
-    itself, weighs 0.
+    so one list serves a whole trajectory; a list, so that `draw_index`
+    bisects it without a numpy call.  Rank 0, the focal particle itself,
+    weighs 0.
     """
     weights = kernel(np.arange(n) / (n - 1))
     weights[0] = 0.0
-    cdf = np.cumsum(weights)
+    cdf = np.cumsum(weights).tolist()
     if cdf[-1] <= 0.0:
         raise DegenerateNormalizationError(f"kernel vanishes at every occurring rank (n={n})")
     return cdf
 
 
-def draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+def draw_index(rng: np.random.Generator, cdf: list[float] | np.ndarray) -> int:
     """An index h drawn with probability (cdf[h] - cdf[h-1]) / cdf[-1], by inverse CDF.
 
-    With ``side="right"`` a zero-weight index is a flat run of the CDF and is
-    never drawn; a uniform that rounds up to the total falls back to the last
-    index with weight.  On `rank_cdf` this draws a partner rank h with
-    probability K(h/(n-1)) / sum_s K(s/(n-1)).
+    ``cdf`` is a non-decreasing sequence, best a list.  Bisecting to the right
+    skips a flat run of the CDF, so a zero-weight index is never drawn; a
+    uniform that rounds up to the total falls back to the last index with
+    weight.  On `rank_cdf` this draws a partner rank h with probability
+    K(h/(n-1)) / sum_s K(s/(n-1)).
     """
-    h = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    if h == cdf.size:
-        h = int(np.searchsorted(cdf, cdf[-1]))
+    total = cdf[-1]
+    h = bisect_right(cdf, rng.random() * total)
+    if h == len(cdf):
+        h = bisect_left(cdf, total)
     return h
 
 

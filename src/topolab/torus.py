@@ -8,6 +8,8 @@ one dimension and sqrt(2)/2 in two.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -37,10 +39,27 @@ def distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def distances_from(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Torus distances of every row of ``points`` (n, d) from ``center`` (d,)."""
+    if points.shape[1] == 1:
+        # the steps of `coordinate_delta` on one buffer (np.round to 0 decimals
+        # is np.rint); sqrt(x * x) rounds back to |x| unless x * x underflows
+        delta = points[:, 0] - center[0]
+        delta -= np.rint(delta)
+        return np.abs(delta, out=delta)
     delta = coordinate_delta(points, center[np.newaxis, :])
-    if delta.shape[1] == 1:
-        return np.abs(delta[:, 0])  # sqrt(x * x) rounds back to |x| unless x * x underflows
     return np.sqrt(np.sum(delta * delta, axis=1))
+
+
+def pair_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Torus distance between the points ``a`` and ``b`` (d,) as a Python float.
+
+    The operations of one entry of `distances_from`, so the same bits, without
+    the numpy calls: Python's ``round`` also rounds halves to even.
+    """
+    deltas = [p - q - round(p - q) for p, q in zip(a.tolist(), b.tolist())]
+    if len(deltas) == 1:
+        return abs(deltas[0])
+    dx, dy = deltas
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def uniform_ball_mass(radius: np.ndarray, d: int) -> np.ndarray:

@@ -130,11 +130,24 @@ def test_residual_probabilities_sane_per_event():
         assert big + atom + fresh == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ball_mass_rejects_a_negative_radius_and_an_outside_time():
+    ref = kinetic_reference(Kernel.linear(), horizon=0.2, nx=32)
+    center = np.array([0.3])
+    for query in (
+        lambda t, r: ref.ball_mass(t, center, r),
+        lambda t, r: ref.ball_masses(t, center, np.array([r])),
+    ):
+        assert query(0.2 + 1e-9, 0.1) > 0.0  # inside the 1e-9 slack
+        for t, r in ((0.1, -1e-12), (-2e-9, 0.1), (0.2 + 2e-9, 0.1)):
+            with pytest.raises(ValueError):
+                query(t, r)
+
+
 def _full_rows(state, kernel, reference, alpha, i):
     """pi_n(i, .), its rank vector and pi_rho(i, .), built over all n partners."""
     pi_n, ranks = partner_distribution(state.z, kernel, i)
     radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
-    pi_rho = alpha * np.asarray(kernel(reference.ball_mass(state.t, state.sigma.positions[i], radii)))
+    pi_rho = alpha * kernel(reference.ball_masses(state.t, state.sigma.positions[i], radii))
     pi_rho[i] = 0.0
     return pi_n, ranks, pi_rho
 

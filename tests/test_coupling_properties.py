@@ -1,5 +1,7 @@
-"""Property tests of short coupled runs: coupled pairs are identical, decoupling is absorbing."""
+"""Property tests of short coupled runs (coupled pairs are identical, decoupling is
+absorbing) and of the scalar ball-mass query that the coupled event uses."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -65,3 +67,54 @@ def test_coupled_pairs_identical_and_decoupling_never_reverses(n, d, preset, kin
         np.testing.assert_array_equal(state.z.positions[kept], state.sigma.positions[kept])
         np.testing.assert_array_equal(state.z.velocities[kept], state.sigma.velocities[kept])
     assert diag.sigma_atom + diag.fresh_draw == diag.z_only
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+_EDGE = 1.0 / 64  # the cell width of `kinetic_reference`
+
+
+@st.composite
+def ball_queries(draw) -> tuple[float, float, float]:
+    """(t, center, radius): snapshot times, times between them and up to 1e-9 outside
+    [0, HORIZON]; centers 0 and 1 - 1e-17; radii 0, 0.5, past 0.5, and on cell edges."""
+    t = draw(
+        st.sampled_from([0.0, 0.02, 0.26, HORIZON, -1e-9, -0.5e-9, HORIZON + 0.5e-9, HORIZON + 1e-9])
+        | st.floats(0.0, HORIZON)
+    )
+    center = draw(
+        st.sampled_from([0.0, 1.0 - 1e-17, 0.5, 3 * _EDGE]) | st.floats(0.0, 1.0, exclude_max=True)
+    )
+    radius = draw(
+        st.sampled_from([0.0, _EDGE, 5 * _EDGE, 0.5 - _EDGE, 0.5, 0.5 + 1e-12, 0.7, 2.0])
+        | st.floats(0.0, 0.6)
+        | st.integers(0, 64).map(lambda k: abs(k * _EDGE - center))  # center - r on an edge
+    )
+    return t, center, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(preset=st.sampled_from(sorted(preset_kernels())), query=ball_queries())
+def test_scalar_ball_mass_has_the_row_bits(preset, query):
+    t, center, radius = query
+    reference = kinetic_reference(preset)
+    c = np.array([center])
+    scalar = reference.ball_mass(t, c, radius)
+    assert type(scalar) is float
+    row = reference.ball_masses(t, c, np.array([0.25, radius, 0.0]))
+    assert _bits(scalar) == _bits(row[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    radius=st.sampled_from([0.0, 0.25, 0.5, 0.6, math.sqrt(0.5), 1.0]) | st.floats(0.0, 1.0),
+)
+def test_uniform_scalar_ball_mass_has_the_row_bits(d, radius):
+    reference = UniformReference(VelocityLaw.four_point() if d == 2 else VelocityLaw.two_point(), d=d)
+    c = np.full(d, 0.5)
+    scalar = reference.ball_mass(0.3, c, radius)
+    assert type(scalar) is float
+    assert _bits(scalar) == _bits(reference.ball_masses(0.3, c, np.array([0.1, radius]))[1])

@@ -275,3 +275,29 @@ def test_particle_and_coupled_streams_match_golden_files(tmp_path, frozen):
     if not frozen:
         run_single_coupled(config, tmp_path)
         assert (tmp_path / "trials_n8.csv").read_bytes() == (golden / "trials_n8.csv").read_bytes()
+
+
+def test_snapshot_rows_match_the_per_particle_format(tmp_path):
+    # the golden files pin d = 1; this pins d = 2 against the per-value `_fmt` rows
+    from topolab.particle import Trajectory
+    from topolab.ranks import Configuration
+
+    rng = np.random.default_rng(9)
+    special = np.array([[0.0, 1.0 - 1e-17], [1e-17, 0.5], [0.1, 0.9999999999999]])
+    m = experiments._CSV_BLOCK + 2  # rows are written in blocks
+    snaps = {
+        t: Configuration(
+            np.concatenate([special, rng.uniform(0.0, 1.0, (m - 3, 2))]),
+            rng.choice([-1.0, -0.0, 0.0, 0.7071067811865476, 1.0], (m, 2)),
+        )
+        for t in (1.0, 0.25)
+    }
+    traj = Trajectory(np.array([]), np.array([]), np.array([]), snapshots=snaps)
+    experiments.write_snapshots_csv(tmp_path / "s.csv", traj, 2)
+    fmt = experiments._fmt
+    expected = [f"# schema={experiments._SNAPSHOTS_SCHEMA}", "t,particle,x0,x1,v0,v1"]
+    for t in sorted(snaps):
+        for p in range(m):
+            vals = list(snaps[t].positions[p]) + list(snaps[t].velocities[p])
+            expected.append(f"{fmt(t)},{p}," + ",".join(fmt(v) for v in vals))
+    assert (tmp_path / "s.csv").read_text().split("\n") == expected + [""]

@@ -119,3 +119,17 @@ def test_rate_normalization_degenerate():
 def test_growth_constant():
     assert Kernel.uniform().growth_constant == 0.0
     assert Kernel.linear().growth_constant == pytest.approx(16.0 * np.sqrt(np.e))
+
+
+def test_scalar_call_has_the_array_bits(presets):
+    # pair_rates evaluates K on Python floats; the full rows on arrays
+    rng = np.random.default_rng(11)
+    special = [0.0, 1e-300, 0.2, 0.5, 0.75, 0.75 + 1e-16, 0.9, 1.0 - 1e-16, 1.0, 1.5]
+    r = np.concatenate([special, rng.uniform(0.0, 1.0, 20_000)])
+    for name, kernel in presets.items():
+        row = kernel(r)
+        scalar = np.array([kernel(float(x)) for x in r])
+        assert all(type(kernel(float(x))) is float for x in special)
+        np.testing.assert_array_equal(scalar.view(np.int64), row.view(np.int64), err_msg=name)
+    # past epsilon the ramp is cut to zero
+    assert Kernel.truncated_linear(0.25)(0.6) == 0.0

@@ -105,3 +105,37 @@ def test_draw_index_past_the_total_takes_the_last_weighted_rank():
     cdf = rank_cdf(Kernel.truncated_linear(0.5), 11)
     assert draw_index(_FixedUniform(1.0), cdf) == 4
     assert draw_index(_FixedUniform(0.0), cdf) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 300),
+    st.sampled_from(sorted(preset_kernels())),
+    st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0 - 2.0**-53, 1.0]),
+)
+def test_draw_index_bisect_is_the_old_searchsorted(n, preset, u):
+    kernel = preset_kernels()[preset]
+    try:
+        cdf = rank_cdf(kernel, n)
+    except DegenerateNormalizationError:
+        return
+    hand = [0.0, 1.0, 1.0, 3.0, 3.0, 3.0]  # flat runs inside and at the end
+    for seq in (cdf, np.asarray(cdf), hand, np.asarray(hand)):
+        arr = np.asarray(seq)
+        old = int(np.searchsorted(arr, u * arr[-1], side="right"))
+        if old == arr.size:
+            old = int(np.searchsorted(arr, arr[-1]))
+        assert draw_index(_FixedUniform(u), seq) == old
+
+
+_COORDS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0 - 1e-17, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda d: arrays(np.float64, (12, d), elements=_COORDS)))
+def test_pair_distance_is_the_distances_from_entry(points):
+    # halves (Python round and np.round both go to even), ties and the wrap
+    for i in range(len(points)):
+        row = torus.distances_from(points, points[i])
+        pair = np.array([torus.pair_distance(p, points[i]) for p in points])
+        np.testing.assert_array_equal(pair.view(np.int64), row.view(np.int64))
