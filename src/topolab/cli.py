@@ -37,8 +37,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(spec, dict):  # from_json would decode a JSON string once more
         raise ConfigError(f"config file {path} does not hold a JSON object")
-    if args.seed is not None:
-        spec["seed"] = args.seed
+    seed = getattr(args, "seed", None)  # commands whose output the seed cannot change lack --seed
+    if seed is not None:
+        spec["seed"] = seed
     return ExperimentConfig.from_json(spec)
 
 
@@ -121,29 +122,40 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {count}")
+    return count
+
+
+_OPTIONS = {
+    "config": {"required": True, "help": "experiment JSON file"},
+    "seed": {"type": int, "default": None, "help": "override the config seed"},
+    "out": {"default": "out", "help": "output directory"},
+    "threads": {"type": _worker_count, "default": 1, "help": "trial worker count"},
+    "fast": {"action": "store_true", "help": "reduced Monte-Carlo sizes"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topolab",
         description="rank-interaction particle systems, their kinetic limit, and the coupling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="trial worker count")
-
-    common(sub.add_parser("simulate", help="run the particle jump process"))
-    common(sub.add_parser("kinetic", help="solve the limit equation"))
-    common(sub.add_parser("couple", help="one coupled trajectory"))
-    common(sub.add_parser("convergence", help="full convergence study"))
-    oracle_p = sub.add_parser("oracle", help="run the reference checks")
-    common(oracle_p, needs_config=False)
-    oracle_p.add_argument("--fast", action="store_true", help="reduced Monte-Carlo sizes")
-    report_p = sub.add_parser("report", help="render SVG plots from CSVs")
-    common(report_p, needs_config=False)
+    # each command takes only the options it reads
+    for name, help_text, options in (
+        ("simulate", "run the particle jump process", ("config", "seed", "out")),
+        ("kinetic", "solve the limit equation", ("config", "out")),
+        ("couple", "one coupled trajectory", ("config", "seed", "out")),
+        ("convergence", "full convergence study", ("config", "seed", "out", "threads")),
+        ("oracle", "run the reference checks", ("fast",)),
+        ("report", "render SVG plots from CSVs", ("out",)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 

@@ -264,7 +264,7 @@ def coupled_event(
     state.coupled[i] = False
     diag.z_only += 1
 
-    pi_n, _ = partner_distribution(state.z, kernel, i)
+    pi_n = partner_distribution(state.z, kernel, i)
     radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
     pi_rho = alpha * kernel(reference.ball_masses(state.t, state.sigma.positions[i], radii))
     pi_rho[i] = 0.0
@@ -311,20 +311,18 @@ def tv_estimate(
     return 0.5 * float(np.abs(hist - ref).sum())
 
 
-def lln_diagnostic(config: Configuration, reference: Reference, t: float, focal: int = 0) -> float:
-    """Mean gap between empirical and reference ball masses at the focal particle.
+def lln_diagnostic(config: Configuration, reference: Reference, t: float) -> float:
+    """Mean gap between empirical and reference ball masses at particle 0.
 
-    Averages |M_emp(B_r(y_focal)) - M_rho(B_r(y_focal))| over the balls with
-    radii reaching each other particle; for i.i.d. samples of the reference
-    spatial density this decays like 1/sqrt(n-1).
+    Averages |M_emp(B_r(y_0)) - M_rho(B_r(y_0))| over the balls with radii
+    reaching each other particle; for i.i.d. samples of the reference spatial
+    density this decays like 1/sqrt(n-1).
     """
     n = config.n
-    radii = torus.distances_from(config.positions, config.positions[focal])
-    others = np.delete(np.arange(n), focal)
-    r = radii[others]
+    r = torus.distances_from(config.positions, config.positions[0])[1:]
     sorted_r = np.sort(r)
     empirical = np.searchsorted(sorted_r, r, side="right") / (n - 1)
-    ref = reference.ball_masses(t, config.positions[focal], r)
+    ref = reference.ball_masses(t, config.positions[0], r)
     return float(np.mean(np.abs(empirical - ref)))
 
 
@@ -377,7 +375,7 @@ def z_marginal_report(
     from scipy import stats
 
     from .initial import sample_initial
-    from .particle import ProcessParams, simulate
+    from .particle import simulate
 
     coupled_ranks, standalone_ranks = [], []
     coupled_counts, standalone_counts = [], []
@@ -395,15 +393,9 @@ def z_marginal_report(
         for t in probe_times:
             coupled_plus[t] += int(np.sum(rec.z_snapshots[t].velocities > 0))
 
-        params = ProcessParams(kernel=kernel, n=n, horizon=horizon)
         rng2 = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 2)))
         traj = simulate(
-            params,
-            initial,
-            snapshot_times=probe_times,
-            record_events=False,
-            record_ranks=True,
-            rng=rng2,
+            kernel, initial, horizon, rng2, probe_times, record_events=False, record_ranks=True
         )
         standalone_ranks.append(traj.event_rank)
         standalone_counts.append(traj.event_count)
@@ -468,17 +460,19 @@ def run_coupled_trial(
     horizon: float,
     rng: np.random.Generator,
     snapshot_times: tuple[float, ...],
-    tv_bins_x: int = 0,
-    v_edges: np.ndarray | None = None,
+    tv_edges: tuple[np.ndarray, np.ndarray] | None = None,
     record_ranks: bool = False,
     record_z_snapshots: bool = False,
 ) -> TrialRecord:
-    """One coupled trajectory from the delta coupling, sampled at snapshot times."""
+    """One coupled trajectory from the delta coupling, sampled at snapshot times.
+
+    ``tv_edges`` holds the (x, v) histogram edges of `tv_estimate`; without
+    them the TV column is NaN.
+    """
     n = initial.n
     ranks_cdf = rank_cdf(kernel, n)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
-    x_edges = np.linspace(0.0, 1.0, tv_bins_x + 1) if tv_bins_x else None
     rows: list[tuple] = []
     z_snapshots: dict[float, Configuration] = {}
 
@@ -487,11 +481,7 @@ def run_coupled_trial(
         sigma_now = state.sigma.transported(s - t)
         if record_z_snapshots:
             z_snapshots[s] = z_now
-        tv = (
-            tv_estimate(z_now, reference, s, x_edges, v_edges)
-            if x_edges is not None
-            else float("nan")
-        )
+        tv = tv_estimate(z_now, reference, s, *tv_edges) if tv_edges is not None else float("nan")
         rows.append(
             (
                 s,

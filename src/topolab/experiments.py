@@ -32,7 +32,7 @@ from .kinetic import (
     initial_density,
     solve,
 )
-from .particle import ProcessParams, Trajectory, simulate
+from .particle import Trajectory, simulate
 
 CONFIG_VERSION = 1
 _TRIALS_SCHEMA = "topolab.trials.v1"
@@ -150,6 +150,8 @@ class ExperimentConfig:
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.horizon:
                 raise ConfigError(f"snapshot time {t} outside [0, horizon]")
+        if np.any(np.diff(self.snapshot_times) <= 0):
+            raise ConfigError("snapshot_times must be strictly increasing")
         if self.tv_bins_x <= 0:
             raise ConfigError(f"coupling.tv_bins_x must be >= 1, got {self.tv_bins_x}")
         if self.nx % self.tv_bins_x != 0:
@@ -269,8 +271,7 @@ def _run_one_trial(config: ExperimentConfig, reference: Reference, n: int, trial
         config.horizon,
         rng,
         config.default_snapshot_times(),
-        tv_bins_x=config.tv_bins_x,
-        v_edges=config.grid().v_edges,
+        tv_edges=(np.linspace(0.0, 1.0, config.tv_bins_x + 1), config.grid().v_edges),
     )
 
 
@@ -289,12 +290,14 @@ def run_trials(
 ) -> list[TrialRecord]:
     """All trials for one system size, in trial order regardless of worker count."""
     jobs = [(n, trial) for trial in range(config.trials)]
-    if threads <= 1:
+    # a pool forks all its workers up front, so never ask for more than there are trials
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [_run_one_trial(config, reference, n, trial) for _, trial in jobs]
     with ProcessPoolExecutor(
-        max_workers=threads, initializer=_worker_init, initargs=(config, reference)
+        max_workers=workers, initializer=_worker_init, initargs=(config, reference)
     ) as pool:
-        return list(pool.map(_worker_run, jobs, chunksize=max(1, len(jobs) // (4 * threads))))
+        return list(pool.map(_worker_run, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
 # -- rate fit -----------------------------------------------------------------------
@@ -376,8 +379,16 @@ def write_trials_csv(path: Path, n: int, records: list[TrialRecord]) -> None:
                 )
 
 
+def _open_study_file(path: Path):
+    """Open a CSV of an earlier study; a missing or unreadable file is a ConfigError."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read study file {path}: {exc}") from exc
+
+
 def read_trials_csv(path: Path) -> tuple[int, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_study_file(path) as fh:
         schema = fh.readline().strip()
         if not schema.startswith(f"# schema={_TRIALS_SCHEMA}"):
             raise ConfigError(f"unknown trials schema in {path}: {schema!r}")
@@ -404,7 +415,7 @@ def write_aggregate_csv(path: Path, rows: list[tuple]) -> None:
 
 
 def read_aggregate_csv(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_study_file(path) as fh:
         schema = fh.readline().strip()
         if schema != f"# schema={_AGGREGATE_SCHEMA}":
             raise ConfigError(f"unknown aggregate schema in {path}: {schema!r}")
@@ -500,20 +511,17 @@ def run_convergence(
 
 
 def run_particle_simulation(config: ExperimentConfig, out_dir: Path) -> Trajectory:
-    params = ProcessParams(
-        kernel=config.kernel,
-        n=config.n,
-        horizon=config.horizon,
-        seed=None,
-        dimension=config.dimension,
-        frozen_positions=config.frozen_positions,
-    )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     initial = sample_initial(
         config.initial, config.n, np.random.SeedSequence(entropy=config.seed, spawn_key=(1,))
     )
     trajectory = simulate(
-        params, initial, snapshot_times=config.default_snapshot_times(), rng=rng
+        config.kernel,
+        initial,
+        config.horizon,
+        rng,
+        config.default_snapshot_times(),
+        frozen_positions=config.frozen_positions,
     )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -187,12 +187,7 @@ class InitialLaw:
 
 def sample_initial(law: InitialLaw, n: int, seed_or_rng) -> Configuration:
     """Draw n i.i.d. particles; deterministic given the seed."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
-    return law.sample(n, rng)
+    return law.sample(n, np.random.default_rng(seed_or_rng))
 
 
 def position_law_from_json(spec: dict) -> PositionLaw:

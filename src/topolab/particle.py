@@ -22,36 +22,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .kernels import Kernel
-from .ranks import (
-    Configuration,
-    draw_index,
-    partner_at_rank,
-    partner_distribution,  # noqa: F401  (a module attribute that bench/spans.py wraps)
-    rank_cdf,
-    transition_probs,
-)
+from .ranks import Configuration, draw_index, partner_at_rank, partner_distribution, rank_cdf
 
 _MAX_MASTER_STATES = 256
-
-
-@dataclass(frozen=True)
-class ProcessParams:
-    """Driver settings for one trajectory of the jump process."""
-
-    kernel: Kernel
-    n: int
-    horizon: float
-    seed: int | None = None
-    dimension: int = 1
-    frozen_positions: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 particles, got {self.n}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
-        if self.dimension not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
 
 
 @dataclass
@@ -90,6 +63,8 @@ def run_clock(
     of the not yet advanced state; then ``advance(gap)`` streams the state and
     ``event(t)`` jumps.  The last, partial gap streams to the horizon.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     pending = sorted(snapshot_times)
     for s in pending:
         if not 0.0 <= s <= horizon:
@@ -109,12 +84,14 @@ def run_clock(
 
 
 def simulate(
-    params: ProcessParams,
+    kernel: Kernel,
     initial: Configuration,
+    horizon: float,
+    rng: np.random.Generator,
     snapshot_times: tuple[float, ...] = (),
+    frozen_positions: bool = False,
     record_events: bool = True,
     record_ranks: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Exact realization of the jump process up to the horizon.
 
@@ -123,15 +100,7 @@ def simulate(
     draws the partner's rank from the fixed rank law and then finds the
     particle of that rank.  With ``frozen_positions`` the transport is skipped.
     """
-    if initial.n != params.n:
-        raise ValueError(f"initial configuration has n={initial.n}, params say {params.n}")
-    if initial.d != params.dimension:
-        raise ValueError(f"initial configuration has d={initial.d}, params say {params.dimension}")
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
-
-    n = params.n
-    frozen = params.frozen_positions
+    n = initial.n
     state = initial.copy()
     snapshots: dict[float, Configuration] = {}
     times: list[float] = []
@@ -139,10 +108,10 @@ def simulate(
     partners: list[int] = []
     ranks_log: list[int] = []
     count = 0
-    cdf = rank_cdf(params.kernel, n)
+    cdf = rank_cdf(kernel, n)
 
     def snapshot(s: float, t: float) -> None:
-        snapshots[s] = state.copy() if frozen else state.transported(s - t)
+        snapshots[s] = state.copy() if frozen_positions else state.transported(s - t)
 
     def event(t: float) -> None:
         nonlocal count
@@ -158,8 +127,8 @@ def simulate(
         if record_ranks:
             ranks_log.append(h)
 
-    advance = (lambda dt: None) if frozen else state.transport_inplace
-    run_clock(n, params.horizon, rng, snapshot_times, advance, snapshot, event)
+    advance = (lambda dt: None) if frozen_positions else state.transport_inplace
+    run_clock(n, horizon, rng, snapshot_times, advance, snapshot, event)
     return Trajectory(
         event_times=np.asarray(times),
         event_focal=np.asarray(focals, dtype=np.int64),
@@ -200,7 +169,7 @@ def master_equation_law(
             f"state space {alphabet}**{n} exceeds {_MAX_MASTER_STATES}; oracle refuses"
         )
 
-    pi = np.stack([transition_probs(config, kernel, i) for i in range(n)])
+    pi = np.stack([partner_distribution(config, kernel, i) for i in range(n)])
     states = label_states(n, alphabet)
     index = {s: k for k, s in enumerate(states)}
     size = len(states)
@@ -238,7 +207,7 @@ def frozen_label_trials(
     event applies a uniform-focal, rank-weighted partner adoption.
     """
     n = config.n
-    pi = np.stack([transition_probs(config, kernel, i) for i in range(n)])
+    pi = np.stack([partner_distribution(config, kernel, i) for i in range(n)])
     cum = np.cumsum(pi, axis=1)
     events = rng.poisson(n * t, size=trials)
     labels = np.tile(np.asarray(labels0, dtype=np.int64), (trials, 1))

@@ -173,29 +173,19 @@ def empirical_mass(
     return float(np.count_nonzero(inside)) / (config.n - 1)
 
 
-def partner_distribution(
-    config: Configuration, kernel: Kernel, i: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partner-choice probabilities for focal i together with the rank vector.
+def partner_distribution(config: Configuration, kernel: Kernel, i: int) -> np.ndarray:
+    """Partner-choice probabilities for focal i: kernel at normalized ranks, normalized.
 
-    Because the ranks of the others are exactly {1, ..., n-1}, normalizing by
-    the sum of kernel values over the drawn ranks is algebraically the same
-    as dividing by sum_s K(s/(n-1)).
+    Returns a length-n vector with entry i equal to 0.  Because the ranks of
+    the others are exactly {1, ..., n-1}, normalizing by the sum of kernel
+    values over the drawn ranks is algebraically the same as dividing by
+    sum_s K(s/(n-1)).
     """
-    ranks = rank_vector(config, i)
-    weights = kernel(ranks / (config.n - 1))
+    weights = kernel(rank_vector(config, i) / (config.n - 1))
     weights[i] = 0.0
     total = float(np.sum(weights))
     if total <= 0.0:
         raise DegenerateNormalizationError(
             f"kernel vanishes at every occurring rank around particle {i} (n={config.n})"
         )
-    return weights / total, ranks
-
-
-def transition_probs(config: Configuration, kernel: Kernel, i: int) -> np.ndarray:
-    """Partner-choice probabilities for focal i: kernel at normalized ranks, normalized.
-
-    Returns a length-n vector with entry i equal to 0.
-    """
-    return partner_distribution(config, kernel, i)[0]
+    return weights / total

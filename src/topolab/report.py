@@ -190,8 +190,8 @@ def render_tv_vs_dn(trials_by_n: dict[int, np.ndarray]) -> str:
     return canvas.render()
 
 
-def render_report(out_dir: Path, fit_slope: float | None = None, fit_intercept: float | None = None) -> list[Path]:
-    """Render all plots from the CSV files in a study directory."""
+def render_report(out_dir: Path) -> list[Path]:
+    """Render all plots from the CSV files and ``ratefit.json``, if any, in a study directory."""
     out_dir = Path(out_dir)
     aggregate = read_aggregate_csv(out_dir / "aggregate.csv")
     trials_by_n: dict[int, np.ndarray] = {}
@@ -201,14 +201,14 @@ def render_report(out_dir: Path, fit_slope: float | None = None, fit_intercept: 
     if not trials_by_n:
         raise ConfigError(f"no trial CSVs found in {out_dir}")
 
-    if fit_slope is None:
-        fit_path = out_dir / "ratefit.json"
-        if fit_path.exists():
-            import json
+    fit_slope = fit_intercept = None
+    fit_path = out_dir / "ratefit.json"
+    if fit_path.exists():
+        import json
 
-            fit = json.loads(fit_path.read_text())
-            fit_slope = fit["slope"]
-            fit_intercept = fit["intercept"]
+        fit = json.loads(fit_path.read_text())
+        fit_slope = fit["slope"]
+        fit_intercept = fit["intercept"]
 
     written = []
     for name, content in [

@@ -20,14 +20,8 @@ from topolab.experiments import ExperimentConfig, run_convergence
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw
 from topolab.kernels import Kernel, preset_kernels, rate_normalization, riemann_error
 from topolab.kinetic import PhaseGrid, coarea_check, initial_density, l1_distance, solve
-from topolab.particle import (
-    ProcessParams,
-    label_states,
-    master_equation_law,
-    simulate,
-    total_variation,
-)
-from topolab.ranks import Configuration, normalized_ranks, transition_probs
+from topolab.particle import label_states, master_equation_law, simulate, total_variation
+from topolab.ranks import Configuration, normalized_ranks, partner_distribution
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -49,7 +43,7 @@ def test_criterion_1_normalization_exactness():
             config = _random_config(n, seed=n * 7 + len(name))
             alpha = rate_normalization(kernel, n)
             for i in (0, n // 2, n - 1):
-                probs = transition_probs(config, kernel, i)
+                probs = partner_distribution(config, kernel, i)
                 worst_sum = max(worst_sum, abs(float(probs.sum()) - 1.0))
                 direct = alpha * np.asarray(kernel(normalized_ranks(config, i)))
                 direct[i] = 0.0
@@ -123,14 +117,14 @@ def test_criterion_5_master_equation_oracle():
     config = Configuration(positions, labels0.astype(float))
     exact = master_equation_law(config, kernel, labels0, 1.0, alphabet=3)
 
-    params = ProcessParams(kernel=kernel, n=3, horizon=1.0, frozen_positions=True)
     states = label_states(3, 3)
     index = {s: k for k, s in enumerate(states)}
     counts = np.zeros(27)
     root = np.random.SeedSequence(20260515)
     for seq in root.spawn(runs):
         initial = Configuration(positions.copy(), labels0.astype(float))
-        traj = simulate(params, initial, record_events=False, rng=np.random.default_rng(seq))
+        rng = np.random.default_rng(seq)
+        traj = simulate(kernel, initial, 1.0, rng, frozen_positions=True, record_events=False)
         key = tuple(int(v) for v in traj.final.velocities[:, 0])
         counts[index[key]] += 1
     gap = total_variation(counts / runs, exact)

@@ -72,6 +72,9 @@ def test_invalid_config_is_validation_error(tmp_path, capsys):
         ("simulate", {"system": {"dimension": 2}}, "dimension"),
         ("simulate", {"system": {"n": 2}}, "kernel vanishes"),
         ("simulate", {"seed": -1}, "seed"),
+        # aggregate columns are labelled in config order, trials run in time order
+        ("convergence", {"snapshot_times": [0.5, 0.25]}, "strictly increasing"),
+        ("convergence", {"snapshot_times": [0.25, 0.25, 0.5]}, "strictly increasing"),
         ("kinetic", {"kinetic": {"dt": 2.0, "snapshot_spacing": 2.0}}, "kinetic.dt"),
         # the horizon sits on the 0.015 grid, so only the dt-grid check can fire
         (
@@ -103,6 +106,23 @@ def test_invalid_config_is_validation_error(tmp_path, capsys):
         assert rc == EXIT_CONFIG
         assert "JSON object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_threads_below_one_are_rejected_when_parsed(tmp_path):
+    config = write_config(tmp_path, small_spec())
+    for value in ("0", "-3"):
+        argv = ["convergence", "--config", str(config), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", value])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+
+def test_report_without_a_study_is_validation_error(tmp_path, capsys):
+    rc = main(["report", "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "aggregate.csv" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.svg")) == []
 
 
 def test_broken_json_is_validation_error(tmp_path):

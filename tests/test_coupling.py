@@ -20,8 +20,8 @@ from topolab.coupling import (
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
 from topolab.kernels import Kernel, preset_kernels, rate_normalization
 from topolab.kinetic import PhaseGrid, initial_density, solve
-from topolab.particle import ProcessParams, categorical, simulate
-from topolab.ranks import Configuration, partner_distribution, rank_cdf
+from topolab.particle import categorical, simulate
+from topolab.ranks import Configuration, partner_distribution, rank_cdf, rank_vector
 
 V_EDGES = PhaseGrid(nx=8, nv=5, v_max=1.25).v_edges
 
@@ -95,6 +95,13 @@ def test_z_only_jump_decouples_and_is_absorbing():
     assert record.sigma_only[-1] + record.fresh[-1] == record.z_only[-1]
 
 
+def test_coupled_trial_rejects_a_negative_horizon():
+    initial = sample_initial(uniform_law(), 8, 1)
+    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    with pytest.raises(ValueError, match="horizon"):
+        run_coupled_trial(Kernel.linear(), ref, initial, -0.25, np.random.default_rng(0), ())
+
+
 def test_initial_delta_coupling_has_zero_distance():
     initial = sample_initial(uniform_law(), 8, 1)
     state = CoupledState.delta(initial)
@@ -145,7 +152,7 @@ def test_ball_mass_rejects_a_negative_radius_and_an_outside_time():
 
 def _full_rows(state, kernel, reference, alpha, i):
     """pi_n(i, .), its rank vector and pi_rho(i, .), built over all n partners."""
-    pi_n, ranks = partner_distribution(state.z, kernel, i)
+    pi_n, ranks = partner_distribution(state.z, kernel, i), rank_vector(state.z, i)
     radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
     pi_rho = alpha * kernel(reference.ball_masses(state.t, state.sigma.positions[i], radii))
     pi_rho[i] = 0.0
@@ -411,11 +418,10 @@ def test_z_marginal_matches_standalone_rank_frequencies():
             kernel, ref, initial, horizon, rng, snapshot_times=(), record_ranks=True
         )
         coupled_ranks.append(rec.partner_ranks)
-        params = ProcessParams(kernel=kernel, n=n, horizon=horizon, seed=None)
         rng2 = np.random.default_rng(np.random.SeedSequence(entropy=78, spawn_key=(trial,)))
         traj = simulate(
-            params, sample_initial(law, n, 5000 + trial), record_events=False,
-            record_ranks=True, rng=rng2,
+            kernel, sample_initial(law, n, 5000 + trial), horizon, rng2,
+            record_events=False, record_ranks=True,
         )
         standalone_ranks.append(traj.event_rank)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import topolab.experiments as experiments
+from topolab.coupling import UniformReference
 from topolab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -215,6 +216,36 @@ def test_convergence_deterministic_and_thread_independent(tmp_path):
         c = (tmp_path / "c" / name).read_bytes()
         assert a == b
         assert a == c
+
+
+def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
+    # a process pool starts all of its workers at once, so two trials need two
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_WORKER_CTX", {})
+    spec = base_spec(convergence={"n_values": [8], "trials": 2, "fit": False})
+    config = ExperimentConfig.from_json(spec)
+    reference = UniformReference(config.initial.velocity, d=1)
+    serial = experiments.run_trials(config, reference, 8, threads=1)
+    assert asked == []
+    pooled = experiments.run_trials(config, reference, 8, threads=8)
+    assert asked == [2]
+    assert [r.d_n.tolist() for r in pooled] == [r.d_n.tolist() for r in serial]
 
 
 def test_single_runs_write_contract_files(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from topolab.oracle import (
     check_coarea,
     check_homogeneous_stationarity,
@@ -42,3 +47,29 @@ def test_individual_checks_pass():
 def test_oracle_lines_format():
     result = check_rank_brute_force()
     assert result.line().startswith("[PASS]")
+
+
+def test_transition_normalization_seeds_do_not_depend_on_string_hashing():
+    # every process must check the same configurations, whatever PYTHONHASHSEED is
+    script = (
+        "import topolab.oracle as o\n"
+        "seeds = []\n"
+        "make = o._random_config\n"
+        "o._random_config = lambda n, d, seed: seeds.append(seed) or make(n, d, seed)\n"
+        "o.check_transition_normalization()\n"
+        "print(seeds)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        ).stdout
+        for hash_seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]

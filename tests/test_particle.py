@@ -5,7 +5,6 @@ from scipy import stats
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
 from topolab.kernels import Kernel
 from topolab.particle import (
-    ProcessParams,
     categorical,
     empirical_marginal,
     frozen_label_trials,
@@ -36,9 +35,8 @@ def test_categorical_skips_zero_probability_atoms():
 
 def test_two_particles_forced_partner():
     # with one partner each, the first event copies one velocity onto the other
-    params = ProcessParams(kernel=Kernel.uniform(), n=2, horizon=5.0, seed=1)
     initial = Configuration(np.array([0.1, 0.6]), np.array([-1.0, 1.0]))
-    traj = simulate(params, initial)
+    traj = simulate(Kernel.uniform(), initial, 5.0, np.random.default_rng(1))
     assert traj.event_count >= 1
     assert traj.final.velocities[0, 0] == traj.final.velocities[1, 0]
     assert traj.final.velocities[0, 0] in (-1.0, 1.0)
@@ -49,9 +47,8 @@ def test_two_particles_first_event_time_mean():
     # the clock rings at rate n=2, so the first gap averages 1/2
     gaps = []
     for seed in range(2000):
-        params = ProcessParams(kernel=Kernel.uniform(), n=2, horizon=10.0, seed=seed)
         initial = Configuration(np.array([0.1, 0.6]), np.array([-1.0, 1.0]))
-        traj = simulate(params, initial)
+        traj = simulate(Kernel.uniform(), initial, 10.0, np.random.default_rng(seed))
         gaps.append(traj.event_times[0])
     mean = np.mean(gaps)
     assert abs(mean - 0.5) < 3 * 0.5 / np.sqrt(len(gaps))
@@ -60,9 +57,8 @@ def test_two_particles_first_event_time_mean():
 def test_event_pairs_uniform_under_flat_kernel():
     # K = 1 weighs every rank equally, so ordered pairs (i, j) are uniform
     n = 8
-    params = ProcessParams(kernel=Kernel.uniform(), n=n, horizon=100_000 / n, seed=42)
     initial = sample_initial(two_point_law(), n, 7)
-    traj = simulate(params, initial)
+    traj = simulate(Kernel.uniform(), initial, 100_000 / n, np.random.default_rng(42))
     counts = np.zeros((n, n))
     np.add.at(counts, (traj.event_focal, traj.event_partner), 1)
     observed = counts[~np.eye(n, dtype=bool)]
@@ -71,18 +67,16 @@ def test_event_pairs_uniform_under_flat_kernel():
 
 
 def test_velocity_support_conservation():
-    params = ProcessParams(kernel=Kernel.linear(), n=32, horizon=2.0, seed=3)
     initial = sample_initial(two_point_law(), 32, 11)
-    traj = simulate(params, initial)
+    traj = simulate(Kernel.linear(), initial, 2.0, np.random.default_rng(3))
     initial_support = set(np.unique(initial.velocities))
     assert set(np.unique(traj.final.velocities)) <= initial_support
 
 
 def test_event_count_poisson_mean():
     n, horizon = 64, 20.0
-    params = ProcessParams(kernel=Kernel.uniform(), n=n, horizon=horizon, seed=5)
     initial = sample_initial(two_point_law(), n, 5)
-    traj = simulate(params, initial, record_events=False)
+    traj = simulate(Kernel.uniform(), initial, horizon, np.random.default_rng(5), record_events=False)
     expected = n * horizon
     assert abs(traj.event_count - expected) < 3 * np.sqrt(expected)
 
@@ -93,8 +87,10 @@ def test_event_count_dispersion():
     counts = []
     law = two_point_law()
     for seed in range(trials):
-        params = ProcessParams(kernel=Kernel.uniform(), n=n, horizon=horizon, seed=seed)
-        traj = simulate(params, sample_initial(law, n, seed + 10_000), record_events=False)
+        initial = sample_initial(law, n, seed + 10_000)
+        traj = simulate(
+            Kernel.uniform(), initial, horizon, np.random.default_rng(seed), record_events=False
+        )
         counts.append(traj.event_count)
     counts = np.asarray(counts, dtype=float)
     dispersion = counts.var(ddof=1) / counts.mean()
@@ -110,18 +106,17 @@ def test_mean_velocity_preserved_in_expectation_flat_kernel():
     diffs = np.empty(trials)
     for seed in range(trials):
         initial = sample_initial(law, n, seed)
-        params = ProcessParams(kernel=Kernel.uniform(), n=n, horizon=1.0, seed=seed)
-        traj = simulate(params, initial, record_events=False)
+        rng = np.random.default_rng(seed)
+        traj = simulate(Kernel.uniform(), initial, 1.0, rng, record_events=False)
         diffs[seed] = traj.final.velocities.mean() - initial.velocities.mean()
     stderr = diffs.std(ddof=1) / np.sqrt(trials)
     assert abs(diffs.mean()) < 3 * stderr
 
 
 def test_determinism_bitwise():
-    params = ProcessParams(kernel=Kernel.linear(), n=24, horizon=1.5, seed=99)
     initial = sample_initial(two_point_law(), 24, 1)
-    a = simulate(params, initial, snapshot_times=(0.5, 1.0))
-    b = simulate(params, initial, snapshot_times=(0.5, 1.0))
+    a = simulate(Kernel.linear(), initial, 1.5, np.random.default_rng(99), (0.5, 1.0))
+    b = simulate(Kernel.linear(), initial, 1.5, np.random.default_rng(99), (0.5, 1.0))
     np.testing.assert_array_equal(a.event_times, b.event_times)
     np.testing.assert_array_equal(a.event_focal, b.event_focal)
     np.testing.assert_array_equal(a.event_partner, b.event_partner)
@@ -130,9 +125,8 @@ def test_determinism_bitwise():
 
 
 def test_snapshots_follow_free_streaming():
-    params = ProcessParams(kernel=Kernel.uniform(), n=4, horizon=1.0, seed=2)
     initial = sample_initial(two_point_law(), 4, 2)
-    traj = simulate(params, initial, snapshot_times=(0.0, 0.25, 1.0))
+    traj = simulate(Kernel.uniform(), initial, 1.0, np.random.default_rng(2), (0.0, 0.25, 1.0))
     np.testing.assert_array_equal(traj.snapshots[0.0].positions, initial.positions)
     assert set(traj.snapshots) == {0.0, 0.25, 1.0}
     np.testing.assert_array_equal(traj.snapshots[1.0].positions, traj.final.positions)
@@ -141,31 +135,28 @@ def test_snapshots_follow_free_streaming():
 def test_snapshots_do_not_alias_live_state():
     # velocities recorded at an early time must not change when later jumps
     # mutate the simulation state
-    params = ProcessParams(kernel=Kernel.uniform(), n=8, horizon=4.0, seed=12)
     initial = sample_initial(two_point_law(), 8, 12)
-    traj = simulate(params, initial, snapshot_times=(0.0, 4.0))
+    traj = simulate(Kernel.uniform(), initial, 4.0, np.random.default_rng(12), (0.0, 4.0))
     np.testing.assert_array_equal(traj.snapshots[0.0].velocities, initial.velocities)
     assert not np.array_equal(traj.snapshots[4.0].velocities, initial.velocities)
 
 
 def test_frozen_positions_stay_put():
-    params = ProcessParams(
-        kernel=Kernel.linear(), n=5, horizon=3.0, seed=8, frozen_positions=True
-    )
     initial = sample_initial(two_point_law(), 5, 8)
-    traj = simulate(params, initial)
+    traj = simulate(Kernel.linear(), initial, 3.0, np.random.default_rng(8), frozen_positions=True)
     np.testing.assert_array_equal(traj.final.positions, initial.positions)
     assert traj.event_count > 0
 
 
 def test_simulate_validates_inputs():
-    params = ProcessParams(kernel=Kernel.uniform(), n=4, horizon=1.0, seed=0)
+    kernel, rng = Kernel.uniform(), np.random.default_rng(0)
+    initial = sample_initial(two_point_law(), 4, 0)
     with pytest.raises(ValueError):
-        simulate(params, sample_initial(two_point_law(), 5, 0))
+        simulate(kernel, initial, 1.0, rng, snapshot_times=(2.0,))
     with pytest.raises(ValueError):
-        simulate(params, sample_initial(two_point_law(), 4, 0), snapshot_times=(2.0,))
-    with pytest.raises(ValueError):
-        ProcessParams(kernel=Kernel.uniform(), n=1, horizon=1.0)
+        simulate(kernel, initial, -0.25, rng)
+    with pytest.raises(ValueError):  # a single particle has no partner
+        simulate(kernel, Configuration(np.array([0.1]), np.array([1.0])), 1.0, rng)
 
 
 # -- master equation -----------------------------------------------------------
@@ -224,11 +215,9 @@ def test_vectorized_frozen_trials_match_simulate():
     states = label_states(3, 3)
     index = {s: k for k, s in enumerate(states)}
     for seed in range(trials):
-        params = ProcessParams(
-            kernel=kernel, n=3, horizon=t, seed=seed + 50_000, frozen_positions=True
-        )
         initial = Configuration(config.positions.copy(), np.array([0.0, 1.0, 2.0]))
-        traj = simulate(params, initial, record_events=False)
+        rng = np.random.default_rng(seed + 50_000)
+        traj = simulate(kernel, initial, t, rng, frozen_positions=True, record_events=False)
         key = tuple(int(v) for v in traj.final.velocities[:, 0])
         counts[index[key]] += 1
     slow = counts / trials
@@ -250,9 +239,8 @@ def test_two_dimensional_simulate():
     from topolab.initial import InitialLaw, PositionLaw, VelocityLaw
 
     law = InitialLaw((PositionLaw.uniform(), PositionLaw.cosine(0.2)), VelocityLaw.four_point())
-    params = ProcessParams(kernel=Kernel.linear(), n=24, horizon=1.0, seed=4, dimension=2)
     initial = sample_initial(law, 24, 4)
-    traj = simulate(params, initial, snapshot_times=(1.0,))
+    traj = simulate(Kernel.linear(), initial, 1.0, np.random.default_rng(4), (1.0,))
     assert traj.final.positions.shape == (24, 2)
     assert np.all(traj.final.positions >= 0) and np.all(traj.final.positions < 1)
     # adopted velocities stay within the initial atom rows

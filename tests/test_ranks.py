@@ -12,8 +12,8 @@ from topolab.ranks import (
     Configuration,
     empirical_mass,
     normalized_ranks,
+    partner_distribution,
     rank_vector,
-    transition_probs,
 )
 
 
@@ -117,7 +117,7 @@ def test_mass_equals_normalized_rank(d):
 
 def test_transition_probs_uniform_kernel():
     config = random_config(4, 1, seed=3)
-    probs = transition_probs(config, Kernel.uniform(), 2)
+    probs = partner_distribution(config, Kernel.uniform(), 2)
     expected = np.full(4, 1.0 / 3.0)
     expected[2] = 0.0
     np.testing.assert_allclose(probs, expected, atol=1e-15)
@@ -125,7 +125,7 @@ def test_transition_probs_uniform_kernel():
 
 def test_transition_probs_linear_n3_nearest_takes_all():
     config = Configuration(np.array([0.1, 0.35, 0.7]), np.zeros(3))
-    probs = transition_probs(config, Kernel.linear(), 0)
+    probs = partner_distribution(config, Kernel.linear(), 0)
     # normalized ranks are 1/2 and 1; K(1/2)=1, K(1)=0
     assert probs[1] == pytest.approx(1.0)
     assert probs[2] == 0.0
@@ -138,7 +138,7 @@ def test_transition_probs_sum_to_one_and_forms_agree(name):
         config = random_config(n, 1, seed=n)
         alpha = rate_normalization(kernel, n)
         for i in (0, n // 2):
-            probs = transition_probs(config, kernel, i)
+            probs = partner_distribution(config, kernel, i)
             assert abs(probs.sum() - 1.0) <= 1e-12
             direct = alpha * kernel(normalized_ranks(config, i))
             direct[i] = 0.0
@@ -154,8 +154,8 @@ def test_transition_probs_translation_invariant():
         shifted = Configuration(config.positions + shift, config.velocities)
         for i in (0, 7, 49):
             np.testing.assert_allclose(
-                transition_probs(config, kernel, i),
-                transition_probs(shifted, kernel, i),
+                partner_distribution(config, kernel, i),
+                partner_distribution(shifted, kernel, i),
                 atol=1e-12,
             )
 
@@ -163,9 +163,9 @@ def test_transition_probs_translation_invariant():
 def test_transition_probs_degenerate_two_particles():
     config = Configuration(np.array([0.0, 0.4]), np.zeros(2))
     with pytest.raises(DegenerateNormalizationError):
-        transition_probs(config, Kernel.linear(), 0)
+        partner_distribution(config, Kernel.linear(), 0)
     # a kernel positive at rank 1 is fine with two particles
-    probs = transition_probs(config, Kernel.uniform(), 0)
+    probs = partner_distribution(config, Kernel.uniform(), 0)
     assert probs[1] == 1.0
 
 

@@ -42,7 +42,7 @@ def test_bound_line_above_all_means(tmp_path):
 
 
 def test_empty_study_errors_without_partial_files(tmp_path):
-    with pytest.raises((ConfigError, FileNotFoundError)):
+    with pytest.raises(ConfigError, match="aggregate.csv"):
         render_report(tmp_path)
     assert list(tmp_path.glob("*.svg")) == []
 
