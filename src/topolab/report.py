@@ -11,6 +11,7 @@ library version strings, fixed float formatting.  Three views:
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -204,11 +205,11 @@ def render_report(out_dir: Path) -> list[Path]:
     fit_slope = fit_intercept = None
     fit_path = out_dir / "ratefit.json"
     if fit_path.exists():
-        import json
-
-        fit = json.loads(fit_path.read_text())
-        fit_slope = fit["slope"]
-        fit_intercept = fit["intercept"]
+        try:
+            fit = json.loads(fit_path.read_text())
+            fit_slope, fit_intercept = float(fit["slope"]), float(fit["intercept"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed rate fit {fit_path}: {exc!r}") from exc
 
     written = []
     for name, content in [

@@ -125,6 +125,16 @@ def test_report_without_a_study_is_validation_error(tmp_path, capsys):
     assert list(tmp_path.glob("*.svg")) == []
 
 
+def test_malformed_rate_fit_is_validation_error(tmp_path, capsys):
+    config = write_config(tmp_path, small_spec())
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    for text in ("{", '{"slope": -0.5}'):  # truncated, and missing the intercept
+        (out / "ratefit.json").write_text(text)
+        assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+        assert "ratefit.json" in capsys.readouterr().err
+
+
 def test_broken_json_is_validation_error(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
