@@ -130,11 +130,12 @@ def render_rate_loglog(aggregate: np.ndarray, slope: float | None, intercept: fl
     )
     t_final = float(aggregate[:, 1].max())
     rows = aggregate[aggregate[:, 1] == t_final]
+    rows = rows[rows[:, 2] > 0]  # a zero mean has no logarithm; `rate_fit` skips it too
+    if not len(rows):
+        raise ConfigError("log-log plot needs a positive mean; run with a decoupling kernel")
     ns = rows[:, 0]
     means = rows[:, 2]
     bounds = rows[:, 4]
-    if np.any(means <= 0):
-        raise ConfigError("log-log plot needs positive means; run with a decoupling kernel")
     lx = np.log10(ns - 1.0)
     ly = np.log10(means)
     lb = np.log10(bounds)

@@ -58,6 +58,18 @@ def test_loglog_requires_positive_means():
         render_rate_loglog(aggregate, None, None)
 
 
+def test_loglog_skips_sizes_that_never_decoupled():
+    # as `rate_fit` does: a zero mean (small n, short horizon) has no logarithm
+    aggregate = np.array(
+        [
+            [8, 1.0, 0.0, 0.0, 2.0],
+            [16, 1.0, 0.05, 0.01, 1.5],
+            [32, 1.0, 0.03, 0.01, 1.0],
+        ]
+    )
+    assert render_rate_loglog(aggregate, None, None).count("<circle") == 2
+
+
 def test_tv_plot_requires_rows():
     with pytest.raises(ConfigError):
         render_tv_vs_dn({})
