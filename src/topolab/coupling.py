@@ -8,7 +8,8 @@ ranks.  At every event with focal particle i:
   * partner j is drawn from the Z-world rank probabilities pi_n(i, .), so the
     Z marginal is exact by construction, whatever happens on the sigma side.
     The rank law alpha K(h/(n-1)) is fixed, so the rank h is drawn first and
-    j is the Z particle of rank h around i (one partition, no sort);
+    j is the Z particle of rank h around i, found in the sorted runs of the
+    Z world (`SortedRuns`; in d = 2 by one partition);
   * with probability min(pi_n, pi_rho)/pi_n at the drawn partner both worlds
     adopt their own particle j's velocity (joint jump).  Only the two rates
     at (i, j) are needed: pi_n = alpha K(h/(n-1)) and one ball mass for
@@ -21,8 +22,14 @@ ranks.  At every event with focal particle i:
     it draws a fresh velocity from the reference redistribution density at
     its own position (snapped to the velocity grid).
 
+Both worlds store comoving coordinates u = wrap(x - v t), so streaming
+between events only advances the clock; positions are materialized
+(`Configuration.transported`) at snapshots and on one-sided events.  A joint
+event reads and writes a handful of Python floats and list entries, so its
+cost does not grow with n in d = 1.
+
 Pairs start identical (delta coupling).  A pair stays flagged as coupled only
-while its two states are exactly equal; any one-sided velocity change
+while its two states (u, v) are exactly equal; any one-sided velocity change
 decouples it, and decoupling is absorbing because the positions then drift
 apart under free streaming.  The average decoupled fraction is the estimator
 of the total-variation distance between the one-particle marginal and the
@@ -42,8 +49,8 @@ from . import torus
 from .initial import VelocityLaw
 from .kernels import Kernel
 from .kinetic import KineticSolution, MassFunction, PhaseGrid, ball_mass_between, edge_cdf
-from .particle import categorical, empirical_marginal, run_clock
-from .ranks import Configuration, draw_index, partner_at_rank, partner_distribution, rank_cdf
+from .particle import Draws, categorical, empirical_marginal, run_clock
+from .ranks import Configuration, SortedRuns, draw_index, partner_distribution, rank_cdf
 
 _RESIDUAL_TOL = -1e-12
 
@@ -169,12 +176,17 @@ def _aggregate_cells(
 
 @dataclass
 class CoupledState:
-    """Paired configurations plus the per-pair identity flags."""
+    """Paired comoving configurations at time t, the per-pair identity flags,
+    and the sorted runs of the Z world."""
 
     z: Configuration
     sigma: Configuration
     coupled: np.ndarray
     t: float = 0.0
+    runs: SortedRuns = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.runs = SortedRuns(self.z)
 
     @classmethod
     def delta(cls, initial: Configuration) -> "CoupledState":
@@ -182,8 +194,7 @@ class CoupledState:
         return cls(z=initial.copy(), sigma=initial.copy(), coupled=np.ones(initial.n, dtype=bool))
 
     def transport(self, dt: float) -> None:
-        self.z.transport_inplace(dt)
-        self.sigma.transport_inplace(dt)
+        """Free streaming for time dt: on comoving coordinates, only the clock moves."""
         self.t += dt
 
     def decoupled_fraction(self) -> float:
@@ -214,13 +225,13 @@ def pair_rates(
 ) -> tuple[float, float]:
     """pi_n(i, j) and pi_rho(i, j) for the partner j of Z rank h around focal i.
 
-    Both are Python floats.  The radius is computed like entry j of the full
-    sigma-world distance vector, so pi_rho equals the full row's entry to the
-    bit.
+    Both are Python floats.  The positions and the radius are computed like
+    entries of the materialized sigma world and of its full distance vector,
+    so pi_rho equals the full row's entry to the bit.
     """
     n = state.z.n
-    x_i = state.sigma.positions[i]
-    radius = torus.pair_distance(state.sigma.positions[j], x_i)
+    x_i = state.sigma.position(i, state.t)
+    radius = torus.pair_distance(state.sigma.position(j, state.t), x_i)
     pi_n = alpha * kernel(h / (n - 1))
     pi_rho = alpha * kernel(reference.ball_mass(state.t, x_i, radius))
     return pi_n, pi_rho
@@ -230,43 +241,48 @@ def coupled_event(
     state: CoupledState,
     kernel: Kernel,
     reference: Reference,
-    ranks_cdf: np.ndarray,
-    rng: np.random.Generator,
+    ranks_cdf: list[float],
+    draws: Draws,
     diag: CouplingDiagnostics,
     record_ranks: bool = False,
 ) -> None:
-    """One clock ring: joint maximal-coupling jump or one-sided completion.
+    """One clock ring at time ``state.t``: joint maximal-coupling jump or one-sided completion.
 
     ``ranks_cdf`` is `rank_cdf` for n, fixed for a trajectory; its total is
-    the rate normalization 1/alpha.  Transport to the event time is done by
-    the caller; this routine only performs the jump and the bookkeeping.
+    the rate normalization 1/alpha.  The focal index, the rank and the
+    joint-jump uniform come from ``draws``; a one-sided completion draws from
+    ``draws.rng``.
     """
-    n = state.z.n
+    t = state.t
     alpha = 1.0 / ranks_cdf[-1]
-    i = int(rng.integers(n))
-    h = draw_index(rng, ranks_cdf)
-    j = partner_at_rank(state.z, i, h)
+    i = next(draws.focals)
+    h = draw_index(next(draws.uniforms), ranks_cdf)
+    j = state.runs.partner_at_rank(i, h, t)
     if record_ranks:
         diag.partner_ranks.append(h)
 
     pi_n_j, pi_rho_j = pair_rates(state, kernel, reference, alpha, i, j, h)
-    if rng.random() * pi_n_j < min(pi_n_j, pi_rho_j):
+    v_z = state.z.velocities[j].tolist()
+    if next(draws.uniforms) * pi_n_j < min(pi_n_j, pi_rho_j):
         # joint jump: both worlds adopt their particle j's velocity
-        same = state.z.velocities[j].tolist() == state.sigma.velocities[j].tolist()
-        state.z.velocities[i] = state.z.velocities[j]
-        state.sigma.velocities[i] = state.sigma.velocities[j]
-        state.coupled[i] = state.coupled[i] and same
+        v_sigma = state.sigma.velocities[j].tolist()
+        state.runs.set_velocity(i, v_z, t)
+        state.sigma.set_velocity(i, v_sigma, t)
+        state.coupled[i] = state.coupled[i] and v_z == v_sigma
         diag.joint += 1
         return
 
     # Z jumps alone; any sigma-side velocity change decouples the pair
-    state.z.velocities[i] = state.z.velocities[j]
+    z_now, sigma_now = state.z.transported(t), state.sigma.transported(t)
+    state.runs.set_velocity(i, v_z, t)
     state.coupled[i] = False
     diag.z_only += 1
 
-    pi_n = partner_distribution(state.z, kernel, i)
-    radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
-    pi_rho = alpha * kernel(reference.ball_masses(state.t, state.sigma.positions[i], radii))
+    rng = draws.rng
+    x_i = sigma_now.positions[i]
+    pi_n = partner_distribution(z_now, kernel, i)
+    radii = torus.distances_from(sigma_now.positions, x_i)
+    pi_rho = alpha * kernel(reference.ball_masses(t, x_i, radii))
     pi_rho[i] = 0.0
     lam = np.minimum(pi_n, pi_rho)
     big_lambda = float(lam.sum())
@@ -285,14 +301,12 @@ def coupled_event(
         atom_prob = resid_mass / available if available > 0.0 else 0.0
 
     if resid_mass > 0.0 and rng.random() < atom_prob:
-        jp = categorical(rng, residual)
-        state.sigma.velocities[i] = state.sigma.velocities[jp]
+        v_sigma = state.sigma.velocities[categorical(rng, residual)].tolist()
         diag.sigma_atom += 1
     else:
-        state.sigma.velocities[i] = reference.fresh_velocity(
-            state.t, state.sigma.positions[i], rng
-        )
+        v_sigma = reference.fresh_velocity(t, x_i, rng).tolist()
         diag.fresh_draw += 1
+    state.sigma.set_velocity(i, v_sigma, t)
 
 
 # -- distance estimators ----------------------------------------------------------
@@ -464,16 +478,16 @@ def run_coupled_trial(
     ``tv_edges`` holds the (x, v) histogram edges of `tv_estimate`; without
     them the TV column is NaN.
     """
-    n = initial.n
-    ranks_cdf = rank_cdf(kernel, n)
+    ranks_cdf = rank_cdf(kernel, initial.n)
     state = CoupledState.delta(initial)
+    draws = Draws(rng, initial.n)
     diag = CouplingDiagnostics()
     rows: list[tuple] = []
     z_snapshots: dict[float, Configuration] = {}
 
-    def snapshot(s: float, t: float) -> None:
-        z_now = state.z.transported(s - t)
-        sigma_now = state.sigma.transported(s - t)
+    def snapshot(s: float) -> None:
+        z_now = state.z.transported(s)
+        sigma_now = state.sigma.transported(s)
         if record_z_snapshots:
             z_snapshots[s] = z_now
         tv = tv_estimate(z_now, reference, s, *tv_edges) if tv_edges is not None else float("nan")
@@ -492,9 +506,9 @@ def run_coupled_trial(
         )
 
     def event(t: float) -> None:
-        coupled_event(state, kernel, reference, ranks_cdf, rng, diag, record_ranks=record_ranks)
+        coupled_event(state, kernel, reference, ranks_cdf, draws, diag, record_ranks=record_ranks)
 
-    run_clock(n, horizon, rng, snapshot_times, state.transport, snapshot, event)
+    run_clock(horizon, draws.gaps, snapshot_times, state.transport, snapshot, event)
     cols = list(zip(*rows)) if rows else [[] for _ in range(9)]
     return TrialRecord(
         times=np.asarray(cols[0]),
@@ -508,7 +522,7 @@ def run_coupled_trial(
         rescale_mean=np.asarray(cols[8]),
         event_count=diag.events,
         partner_ranks=np.asarray(diag.partner_ranks, dtype=np.int64),
-        final_z=state.z,
-        final_sigma=state.sigma,
+        final_z=state.z.transported(horizon),
+        final_sigma=state.sigma.transported(horizon),
         z_snapshots=z_snapshots if record_z_snapshots else None,
     )

@@ -19,6 +19,7 @@ from .initial import InitialLaw, PositionLaw, VelocityLaw
 from .kernels import Kernel, preset_kernels, rate_normalization, riemann_error
 from .kinetic import PhaseGrid, coarea_check, initial_density, l1_distance, solve
 from .particle import (
+    Draws,
     frozen_label_trials,
     label_states,
     master_equation_law,
@@ -233,10 +234,10 @@ def check_lattice_joint_saturation() -> OracleResult:
     kernel = Kernel.linear()
     ref = UniformReference(VelocityLaw.two_point(), d=1)
     cdf = rank_cdf(kernel, n)
-    rng = np.random.default_rng(7)
+    draws = Draws(np.random.default_rng(7), n)
     diag = CouplingDiagnostics()
     for _ in range(400):
-        coupled_event(state, kernel, ref, cdf, rng, diag)
+        coupled_event(state, kernel, ref, cdf, draws, diag)
     passed = diag.z_only == 0 and state.decoupled_fraction() == 0.0
     return OracleResult(
         "lattice-joint-saturation", passed, f"{diag.joint} joint, {diag.z_only} one-sided"

@@ -7,6 +7,11 @@ positions.  Between rings particles stream freely.  This is exact Gillespie
 simulation: there is no time-discretization error anywhere in the particle
 world.
 
+The state holds comoving coordinates (`SortedRuns`), so streaming between
+rings is only the clock's advance, and positions are built at snapshots.
+The clock's gaps, the focal indices and the uniforms of each ring are drawn
+from the generator in blocks (`Draws`).
+
 For tiny frozen-position systems the exact law of the velocity labels is
 available through a matrix exponential (`master_equation_law`), which serves
 as the reference the simulator must reproduce.
@@ -15,16 +20,17 @@ as the reference the simulator must reproduce.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
 from .kernels import Kernel
-from .ranks import Configuration, draw_index, partner_at_rank, partner_distribution, rank_cdf
+from .ranks import Configuration, SortedRuns, draw_index, partner_distribution, rank_cdf
 
 _MAX_MASTER_STATES = 256
+_BLOCK = 256
 
 
 @dataclass
@@ -45,23 +51,42 @@ def categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
 
     Zero-probability atoms are never returned.
     """
-    return draw_index(rng, np.cumsum(probs))
+    return draw_index(rng.random(), np.cumsum(probs))
+
+
+def _blocks(draw: Callable[[int], np.ndarray]) -> Iterator:
+    while True:
+        yield from draw(_BLOCK).tolist()
+
+
+class Draws:
+    """The variates of the rings of an n-particle run, drawn from ``rng`` in blocks.
+
+    ``gaps`` are the clock's exponential gaps, ``focals`` the uniform focal
+    indices, and ``uniforms`` feed the rank draw and the joint-jump decision,
+    one each per ring.  One-sided completions draw from ``rng`` itself.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng = rng
+        self.gaps = _blocks(lambda k: rng.exponential(1.0 / n, k))
+        self.focals = _blocks(lambda k: rng.integers(n, size=k))
+        self.uniforms = _blocks(rng.random)
 
 
 def run_clock(
-    n: int,
     horizon: float,
-    rng: np.random.Generator,
+    gaps: Iterator[float],
     snapshot_times: tuple[float, ...],
     advance: Callable[[float], None],
-    snapshot: Callable[[float, float], None],
+    snapshot: Callable[[float], None],
     event: Callable[[float], None],
 ) -> None:
-    """The rate-n event clock shared by the standalone and the coupled run.
+    """The event clock shared by the standalone and the coupled run.
 
-    Before each ring, due snapshots go to ``snapshot(s, t)`` with t the time
-    of the not yet advanced state; then ``advance(gap)`` streams the state and
-    ``event(t)`` jumps.  The last, partial gap streams to the horizon.
+    Before each ring, due snapshots go to ``snapshot(s)``; then
+    ``advance(gap)`` moves the state's clock and ``event(t)`` jumps.  The
+    last, partial gap advances to the horizon.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
@@ -71,10 +96,10 @@ def run_clock(
             raise ValueError(f"snapshot time {s} outside [0, {horizon}]")
     t = 0.0
     while True:
-        gap = rng.exponential(1.0 / n)
+        gap = next(gaps)
         t_next = t + gap
         while pending and pending[0] <= min(t_next, horizon):
-            snapshot(pending.pop(0), t)
+            snapshot(pending.pop(0))
         if t_next > horizon:
             advance(horizon - t)
             return
@@ -95,13 +120,16 @@ def simulate(
 ) -> Trajectory:
     """Exact realization of the jump process up to the horizon.
 
-    Snapshots are taken at the requested times by materializing the free
-    streaming from the last event; they do not perturb the chain.  An event
-    draws the partner's rank from the fixed rank law and then finds the
-    particle of that rank.  With ``frozen_positions`` the transport is skipped.
+    The state holds comoving coordinates; snapshots and the final
+    configuration materialize the positions and do not perturb the chain.
+    An event draws the partner's rank from the fixed rank law and then finds
+    the particle of that rank (`SortedRuns`).  With ``frozen_positions`` the
+    streaming velocity is 0, so positions never move.
     """
     n = initial.n
     state = initial.copy()
+    runs = SortedRuns(state, moving=not frozen_positions)
+    draws = Draws(rng, n)
     snapshots: dict[float, Configuration] = {}
     times: list[float] = []
     focals: list[int] = []
@@ -110,15 +138,15 @@ def simulate(
     count = 0
     cdf = rank_cdf(kernel, n)
 
-    def snapshot(s: float, t: float) -> None:
-        snapshots[s] = state.copy() if frozen_positions else state.transported(s - t)
+    def positions(t: float) -> Configuration:
+        return state.copy() if frozen_positions else state.transported(t)
 
     def event(t: float) -> None:
         nonlocal count
-        i = int(rng.integers(n))
-        h = draw_index(rng, cdf)
-        j = partner_at_rank(state, i, h)
-        state.velocities[i] = state.velocities[j]
+        i = next(draws.focals)
+        h = draw_index(next(draws.uniforms), cdf)
+        j = runs.partner_at_rank(i, h, t)
+        runs.set_velocity(i, state.velocities[j].tolist(), t)
         count += 1
         if record_events:
             times.append(t)
@@ -127,14 +155,16 @@ def simulate(
         if record_ranks:
             ranks_log.append(h)
 
-    advance = (lambda dt: None) if frozen_positions else state.transport_inplace
-    run_clock(n, horizon, rng, snapshot_times, advance, snapshot, event)
+    def snapshot(s: float) -> None:
+        snapshots[s] = positions(s)
+
+    run_clock(horizon, draws.gaps, snapshot_times, lambda gap: None, snapshot, event)
     return Trajectory(
         event_times=np.asarray(times),
         event_focal=np.asarray(focals, dtype=np.int64),
         event_partner=np.asarray(partners, dtype=np.int64),
         snapshots=snapshots,
-        final=state,
+        final=positions(horizon),
         event_count=count,
         event_rank=np.asarray(ranks_log, dtype=np.int64) if record_ranks else None,
     )

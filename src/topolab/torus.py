@@ -49,13 +49,13 @@ def distances_from(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(delta * delta, axis=1))
 
 
-def pair_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Torus distance between the points ``a`` and ``b`` (d,) as a Python float.
+def pair_distance(a, b) -> float:
+    """Torus distance between the points ``a`` and ``b`` (d floats each) as a Python float.
 
     The operations of one entry of `distances_from`, so the same bits, without
     the numpy calls: Python's ``round`` also rounds halves to even.
     """
-    deltas = [p - q - round(p - q) for p, q in zip(a.tolist(), b.tolist())]
+    deltas = [p - q - round(p - q) for p, q in zip(a, b)]
     if len(deltas) == 1:
         return abs(deltas[0])
     dx, dy = deltas

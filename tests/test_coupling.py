@@ -20,7 +20,7 @@ from topolab.coupling import (
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
 from topolab.kernels import Kernel, preset_kernels, rate_normalization
 from topolab.kinetic import PhaseGrid, initial_density, solve
-from topolab.particle import categorical, simulate
+from topolab.particle import Draws, categorical, simulate
 from topolab.ranks import Configuration, partner_distribution, rank_cdf, rank_vector
 
 V_EDGES = PhaseGrid(nx=8, nv=5, v_max=1.25).v_edges
@@ -67,11 +67,11 @@ def test_lattice_construction_suppresses_one_sided_jumps():
     kernel = Kernel.linear()
     ref = UniformReference(VelocityLaw.two_point(), d=1)
     cdf = rank_cdf(kernel, n)
-    rng = np.random.default_rng(3)
+    draws = Draws(np.random.default_rng(3), n)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
     for _ in range(500):
-        coupled_event(state, kernel, ref, cdf, rng, diag)
+        coupled_event(state, kernel, ref, cdf, draws, diag)
     assert diag.z_only == 0
     assert diag.joint == 500
     assert state.decoupled_fraction() == 0.0
@@ -151,10 +151,12 @@ def test_ball_mass_rejects_a_negative_radius_and_an_outside_time():
 
 
 def _full_rows(state, kernel, reference, alpha, i):
-    """pi_n(i, .), its rank vector and pi_rho(i, .), built over all n partners."""
-    pi_n, ranks = partner_distribution(state.z, kernel, i), rank_vector(state.z, i)
-    radii = torus.distances_from(state.sigma.positions, state.sigma.positions[i])
-    pi_rho = alpha * kernel(reference.ball_masses(state.t, state.sigma.positions[i], radii))
+    """pi_n(i, .), its rank vector and pi_rho(i, .), built over all n partners
+    from the positions at time state.t."""
+    z, sigma = state.z.transported(state.t), state.sigma.transported(state.t)
+    pi_n, ranks = partner_distribution(z, kernel, i), rank_vector(z, i)
+    radii = torus.distances_from(sigma.positions, sigma.positions[i])
+    pi_rho = alpha * kernel(reference.ball_masses(state.t, sigma.positions[i], radii))
     pi_rho[i] = 0.0
     return pi_n, ranks, pi_rho
 
@@ -162,21 +164,21 @@ def _full_rows(state, kernel, reference, alpha, i):
 def _oracle_coupled_event(state, kernel, reference, alpha, rng, diag):
     """The coupled event drawn from the full rows: partner by categorical(pi_n),
     joint with probability lam[j] / pi_n[j].  The law the rank-first event must keep."""
-    n = state.z.n
+    n, t = state.z.n, state.t
     i = int(rng.integers(n))
     pi_n, ranks, pi_rho = _full_rows(state, kernel, reference, alpha, i)
     lam = np.minimum(pi_n, pi_rho)
     big_lambda = float(lam.sum())
     j = categorical(rng, pi_n)
     diag.partner_ranks.append(int(ranks[j]))
+    v_z, v_sigma = state.z.velocities[j].tolist(), state.sigma.velocities[j].tolist()
+    x_i = state.sigma.transported(t).positions[i]
+    state.runs.set_velocity(i, v_z, t)
     if rng.random() * pi_n[j] < lam[j]:
-        same = bool(np.array_equal(state.z.velocities[j], state.sigma.velocities[j]))
-        state.z.velocities[i] = state.z.velocities[j]
-        state.sigma.velocities[i] = state.sigma.velocities[j]
-        state.coupled[i] = state.coupled[i] and same
+        state.sigma.set_velocity(i, v_sigma, t)
+        state.coupled[i] = state.coupled[i] and v_z == v_sigma
         diag.joint += 1
         return
-    state.z.velocities[i] = state.z.velocities[j]
     state.coupled[i] = False
     diag.z_only += 1
     residual = pi_rho - lam
@@ -190,22 +192,24 @@ def _oracle_coupled_event(state, kernel, reference, alpha, rng, diag):
     else:
         atom_prob = resid_mass / available if available > 0.0 else 0.0
     if resid_mass > 0.0 and rng.random() < atom_prob:
-        state.sigma.velocities[i] = state.sigma.velocities[categorical(rng, residual)]
+        v_sigma = state.sigma.velocities[categorical(rng, residual)].tolist()
         diag.sigma_atom += 1
     else:
-        state.sigma.velocities[i] = reference.fresh_velocity(state.t, state.sigma.positions[i], rng)
+        v_sigma = reference.fresh_velocity(t, x_i, rng).tolist()
         diag.fresh_draw += 1
+    state.sigma.set_velocity(i, v_sigma, t)
 
 
 def _evolved_state(kernel, reference, n, seed, events=150):
     """A coupled state after some transported events, with decoupled pairs apart."""
     rng = np.random.default_rng(seed)
+    draws = Draws(rng, n)
     state = CoupledState.delta(sample_initial(uniform_law(), n, seed))
     cdf = rank_cdf(kernel, n)
     diag = CouplingDiagnostics()
     for _ in range(events):
         state.transport(0.2 * rng.exponential(1.0 / n))  # about 0.75 in all, inside the reference
-        coupled_event(state, kernel, reference, cdf, rng, diag)
+        coupled_event(state, kernel, reference, cdf, draws, diag)
     return state
 
 
@@ -230,30 +234,32 @@ def test_pair_rates_match_full_row_oracle(preset):
         assert worst <= 1e-15
 
 
-def test_rank_first_event_has_the_oracle_law():
-    # positions stay fixed, so every event draws (i, rank, class) from one law;
-    # the rank-first event and the full-row oracle must agree on it
-    kernel = Kernel.linear()
-    n, events = 16, 20_000
-    reference = UniformReference(VelocityLaw.two_point(), d=1)
-    initial = sample_initial(uniform_law(), n, 29)
+def _event_class_tables(kernel, reference, initial, t, events):
+    """Per-rank counts of joint, sigma-atom and fresh-draw events at time t, for
+    the rank-first event and for the full-row oracle, from the same state."""
+    n = initial.n
     alpha, cdf = rate_normalization(kernel, n), rank_cdf(kernel, n)
     tables = []
     for oracle in (False, True):
         state = CoupledState.delta(initial)
+        state.t = t
         diag = CouplingDiagnostics()
         rng = np.random.default_rng(np.random.SeedSequence(entropy=43, spawn_key=(int(oracle),)))
+        draws = Draws(rng, n)
         classes = np.zeros((n, 3), dtype=np.int64)  # per rank: joint, sigma atom, fresh draw
         for _ in range(events):
             before = (diag.joint, diag.sigma_atom, diag.fresh_draw)
             if oracle:
                 _oracle_coupled_event(state, kernel, reference, alpha, rng, diag)
             else:
-                coupled_event(state, kernel, reference, cdf, rng, diag, record_ranks=True)
+                coupled_event(state, kernel, reference, cdf, draws, diag, record_ranks=True)
             after = (diag.joint, diag.sigma_atom, diag.fresh_draw)
             classes[diag.partner_ranks[-1]] += np.subtract(after, before)
         tables.append(classes)
-    new, old = tables
+    return tables
+
+
+def _assert_same_event_law(new, old):
     by_rank = np.stack([new.sum(axis=1), old.sum(axis=1)])
     by_rank = by_rank[:, by_rank.sum(axis=0) > 0]  # rank 0 and the top rank weigh 0
     assert stats.chi2_contingency(by_rank).pvalue > 0.01
@@ -263,6 +269,27 @@ def test_rank_first_event_has_the_oracle_law():
     one_sided = np.stack([new[:, 1:].sum(axis=1), old[:, 1:].sum(axis=1)])
     one_sided = one_sided[:, one_sided.sum(axis=0) > 0]
     assert stats.chi2_contingency(one_sided).pvalue > 0.01
+
+
+def test_rank_first_event_has_the_oracle_law():
+    # positions stay fixed, so every event draws (i, rank, class) from one law;
+    # the rank-first event and the full-row oracle must agree on it
+    kernel = Kernel.linear()
+    n, events = 16, 20_000
+    reference = UniformReference(VelocityLaw.two_point(), d=1)
+    initial = sample_initial(uniform_law(), n, 29)
+    _assert_same_event_law(*_event_class_tables(kernel, reference, initial, 0.0, events))
+
+
+def test_rank_first_event_has_the_oracle_law_on_a_moving_state():
+    # the same at t = 0.37 on comoving coordinates with four velocities in the
+    # Z runs: a velocity change keeps the particle in place, so the law stays
+    # fixed; the kinetic reference reads its snapshots at that time
+    kernel = Kernel.linear()
+    n = 16
+    rng = np.random.default_rng(31)
+    initial = Configuration(rng.uniform(0.0, 1.0, n), rng.choice([-1.0, -0.5, 0.5, 1.0], n))
+    _assert_same_event_law(*_event_class_tables(kernel, kinetic_reference(kernel), initial, 0.37, 20_000))
 
 
 def test_tv_estimate_identical_and_disjoint():
@@ -367,6 +394,7 @@ def test_coupled_flags_imply_exact_equality():
     initial = sample_initial(uniform_law(), 48, 17)
     ref = kinetic_reference(kernel)
     rng = np.random.default_rng(5)
+    draws = Draws(rng, 48)
     cdf = rank_cdf(kernel, 48)
     state = CoupledState.delta(initial)
     diag = CouplingDiagnostics()
@@ -375,7 +403,7 @@ def test_coupled_flags_imply_exact_equality():
         if state.t + gap > 0.98:
             break
         state.transport(gap)
-        coupled_event(state, kernel, ref, cdf, rng, diag)
+        coupled_event(state, kernel, ref, cdf, draws, diag)
         still = state.coupled
         np.testing.assert_array_equal(
             state.z.positions[still], state.sigma.positions[still]

@@ -1,5 +1,6 @@
 """Property tests of short coupled runs (coupled pairs are identical, decoupling is
-absorbing) and of the scalar ball-mass query that the coupled event uses."""
+absorbing, the Z world's sorted runs find the partner of every rank) and of the
+scalar ball-mass query that the coupled event uses."""
 
 import math
 from functools import lru_cache
@@ -21,7 +22,8 @@ from topolab.coupling import (  # noqa: E402
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial  # noqa: E402
 from topolab.kernels import preset_kernels  # noqa: E402
 from topolab.kinetic import PhaseGrid, initial_density, solve  # noqa: E402
-from topolab.ranks import rank_cdf  # noqa: E402
+from topolab.particle import Draws  # noqa: E402
+from topolab.ranks import partner_at_rank, rank_cdf  # noqa: E402
 
 HORIZON = 0.5
 
@@ -52,6 +54,7 @@ def test_coupled_pairs_identical_and_decoupling_never_reverses(n, d, preset, kin
         law = InitialLaw((PositionLaw.uniform(), PositionLaw.uniform()), VelocityLaw.four_point())
         reference = UniformReference(law.velocity, d=2)
     rng = np.random.default_rng(seed)
+    draws = Draws(rng, n)
     state = CoupledState.delta(sample_initial(law, n, seed))
     cdf = rank_cdf(kernel, n)
     diag = CouplingDiagnostics()
@@ -61,12 +64,41 @@ def test_coupled_pairs_identical_and_decoupling_never_reverses(n, d, preset, kin
             break
         before = state.coupled.copy()
         state.transport(gap)
-        coupled_event(state, kernel, reference, cdf, rng, diag)
+        coupled_event(state, kernel, reference, cdf, draws, diag)
         assert not np.any(state.coupled & ~before)
         kept = state.coupled
         np.testing.assert_array_equal(state.z.positions[kept], state.sigma.positions[kept])
         np.testing.assert_array_equal(state.z.velocities[kept], state.sigma.velocities[kept])
     assert diag.sigma_atom + diag.fresh_draw == diag.z_only
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 24),
+    preset=st.sampled_from(sorted(preset_kernels())),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_z_runs_of_a_coupled_run_find_the_partner_at_rank(n, preset, seed):
+    # one-sided events put fresh grid velocities into the sigma world and copy
+    # Z velocities across runs; coupled pairs share (u, v) in the two worlds
+    kernel = preset_kernels()[preset]
+    law = InitialLaw((PositionLaw.cosine(0.3),), VelocityLaw.two_point())
+    rng = np.random.default_rng(seed)
+    draws = Draws(rng, n)
+    state = CoupledState.delta(sample_initial(law, n, seed))
+    cdf = rank_cdf(kernel, n)
+    diag = CouplingDiagnostics()
+    while state.t + 0.05 <= HORIZON:
+        state.transport(0.05)
+        coupled_event(state, kernel, kinetic_reference(preset), cdf, draws, diag)
+        z = state.z.transported(state.t)
+        for i in range(n):
+            for h in range(n):
+                assert state.runs.partner_at_rank(i, h, state.t) == partner_at_rank(z, i, h)
+        for v, (us, ids) in state.runs.runs.items():
+            assert us == sorted(us)
+            assert state.z.positions[ids, 0].tolist() == us
+            assert np.all(state.z.velocities[ids, 0] == v)
 
 
 def _bits(x) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Property tests of the rank-first partner lookup and the rank draw."""
+"""Property tests of the rank-first partner lookups (`partner_at_rank` and the
+sorted runs of comoving coordinates) and of the rank draw."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from topolab.kernels import (  # noqa: E402
 )
 from topolab.ranks import (  # noqa: E402
     Configuration,
+    SortedRuns,
     draw_index,
     partner_at_rank,
     rank_cdf,
@@ -60,19 +62,76 @@ def test_partner_at_rank_on_lattice_ties(d):
     assert_partner_is_stable_argsort(lattice_config(64, d))
 
 
+# the velocity grid centres of the convergence config (nv = 5, v_max = 1.25),
+# where fresh sigma-world velocities land, and a speed off that grid
+_ATOMS = [-1.0, -0.5, 0.0, 0.5, 1.0, 0.3]
+_TIMES = st.sampled_from([0.0, 1.0 / 16, 0.5, 1.0, 3.25]) | st.floats(0.0, 4.0)
+
+
+@st.composite
+def comoving_histories(draw) -> tuple[Configuration, list]:
+    """A d = 1 configuration of comoving coordinates and a few (time, velocity switches)
+    steps; positions are free floats (with repeats and the wrap edge) or the 1/16
+    lattice, which multiples of 1/16 in time keep exact."""
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        positions = lattice_config(n, 1).positions
+    else:
+        coords = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, 0.5, 0.75, 1.0 - 1e-17])
+        positions = draw(arrays(np.float64, n, elements=coords))
+    velocities = draw(arrays(np.float64, n, elements=st.sampled_from(_ATOMS)))
+    switch = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1) | st.sampled_from(_ATOMS))
+    steps = draw(st.lists(st.tuples(_TIMES, st.lists(switch, max_size=6)), min_size=1, max_size=3))
+    return Configuration(positions, velocities), steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(comoving_histories(), st.booleans())
+def test_sorted_runs_find_the_partner_at_rank(history, moving):
+    # after any sequence of velocity changes (copies of another particle's
+    # velocity and fresh atoms), the sorted runs give `partner_at_rank` on the
+    # positions at that time for every (i, h); frozen runs stream with velocity 0
+    config, steps = history
+    runs = SortedRuns(config, moving=moving)
+    for t, switches in steps:
+        positions = config.transported(t) if moving else config
+        for i in range(config.n):
+            for h in range(config.n):
+                assert runs.partner_at_rank(i, h, t) == partner_at_rank(positions, i, h)
+        for i, source in switches:
+            v = [source] if isinstance(source, float) else config.velocities[source].tolist()
+            x = positions.positions[i].tolist()
+            runs.set_velocity(i, v, t)
+            assert config.velocities[i].tolist() == v
+            if moving:  # the particle stays where it was, up to the rounding of the new u
+                assert torus.pair_distance(config.position(i, t), x) <= 1e-15 * (1.0 + 2 * t)
+            else:
+                assert config.positions[i].tolist() == x
+        members = sorted(j for _, ids in runs.runs.values() for j in ids)
+        assert members == list(range(config.n))
+
+
+def test_sorted_runs_errors_and_two_dimensions():
+    config = lattice_config(5, 1)
+    for i, h in ((-1, 1), (5, 1), (0, -1), (0, 5)):
+        with pytest.raises(IndexError):
+            SortedRuns(config).partner_at_rank(i, h, 0.0)
+    # d = 2 has no runs: the lookup is `partner_at_rank` on the materialized positions
+    rng = np.random.default_rng(3)
+    config = Configuration(rng.uniform(0.0, 1.0, (30, 2)), rng.choice([-1.0, 0.0, 1.0], (30, 2)))
+    runs = SortedRuns(config)
+    assert not runs.runs
+    moved = config.transported(0.7)
+    for i in range(30):
+        for h in range(30):
+            assert runs.partner_at_rank(i, h, 0.7) == partner_at_rank(moved, i, h)
+
+
 def test_partner_at_rank_errors():
     config = lattice_config(5, 1)
     for i, h in ((-1, 1), (5, 1), (0, -1), (0, 5)):
         with pytest.raises(IndexError):
             partner_at_rank(config, i, h)
-
-
-class _FixedUniform:
-    def __init__(self, u: float):
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +152,7 @@ def test_draw_index_lands_on_a_weighted_rank(n, preset, u):
     np.testing.assert_array_equal(cdf, np.cumsum(weights))
     # coupled_event takes alpha as 1 / cdf[-1]
     assert 1.0 / cdf[-1] == pytest.approx(rate_normalization(kernel, n), rel=1e-12)
-    h = draw_index(_FixedUniform(u), cdf)
+    h = draw_index(u, cdf)
     assert 1 <= h < n
     assert weights[h] > 0.0
     # inverse CDF: the drawn rank's segment of the cumulative weights holds u * total
@@ -103,8 +162,8 @@ def test_draw_index_lands_on_a_weighted_rank(n, preset, u):
 def test_draw_index_past_the_total_takes_the_last_weighted_rank():
     # truncated_linear(0.5) weighs ranks up to half of n-1 only
     cdf = rank_cdf(Kernel.truncated_linear(0.5), 11)
-    assert draw_index(_FixedUniform(1.0), cdf) == 4
-    assert draw_index(_FixedUniform(0.0), cdf) == 1
+    assert draw_index(1.0, cdf) == 4
+    assert draw_index(0.0, cdf) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,7 +184,7 @@ def test_draw_index_bisect_is_the_old_searchsorted(n, preset, u):
         old = int(np.searchsorted(arr, u * arr[-1], side="right"))
         if old == arr.size:
             old = int(np.searchsorted(arr, arr[-1]))
-        assert draw_index(_FixedUniform(u), seq) == old
+        assert draw_index(u, seq) == old
 
 
 _COORDS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0 - 1e-17, 1.0])
