@@ -273,11 +273,11 @@ class SortedRuns:
                 before += p3 - p2
                 ranges = ((p3, p2 + size),) if p4 - p1 >= size else ((p1, p2), (p3, p4))
             for lo, hi in ranges:
-                for k in range(lo, hi):
-                    k %= size
-                    j = ids[k]
+                for p in range(lo, hi):
+                    p %= size
+                    j = ids[p]
                     if j != i:
-                        y = us[k]
+                        y = us[p]
                         if moving:
                             y += c
                             y -= math.floor(y)
