@@ -141,6 +141,9 @@ def simulate(
     def positions(t: float) -> Configuration:
         return state.copy() if frozen_positions else state.transported(t)
 
+    def snapshot(s: float) -> None:
+        snapshots[s] = positions(s)
+
     def event(t: float) -> None:
         nonlocal count
         i = next(draws.focals)
@@ -154,9 +157,6 @@ def simulate(
             partners.append(j)
         if record_ranks:
             ranks_log.append(h)
-
-    def snapshot(s: float) -> None:
-        snapshots[s] = positions(s)
 
     run_clock(horizon, draws.gaps, snapshot_times, lambda gap: None, snapshot, event)
     return Trajectory(

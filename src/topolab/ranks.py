@@ -221,11 +221,8 @@ class SortedRuns:
         while True:
             k = 0
             bounds = []
-            for us, a, size, _, _ in arcs:  # `_arc` inlined
-                lo, hi = a - r, a + r
-                start = bisect_left(us, lo + 1.0) - size if lo < 0.0 else bisect_left(us, lo)
-                stop = bisect_right(us, hi - 1.0) + size if hi >= 1.0 else bisect_right(us, hi)
-                stop = min(stop, start + size)
+            for us, a, _, _, _ in arcs:
+                start, stop = _arc(us, a, r)
                 bounds.append((start, stop))
                 k += stop - start
             probes += 1
