@@ -83,7 +83,8 @@ class Configuration:
         """Row i of ``transported(dt).positions`` as Python floats, with the same bits."""
         if self.positions.shape[1] == 1:  # the same, with fewer numpy calls
             return [_wrapped(self.positions.item(i), self.velocities.item(i) * dt)]
-        return [_wrapped(u, w * dt) for u, w in zip(self.positions[i].tolist(), self.velocities[i].tolist())]
+        rows = zip(self.positions[i].tolist(), self.velocities[i].tolist())
+        return [_wrapped(u, w * dt) for u, w in rows]
 
     def set_velocity(self, i: int, v: list[float], t: float) -> None:
         """Give particle i of a comoving configuration the velocity v at time t.
@@ -111,7 +112,9 @@ def _wrapped(u: float, c: float) -> float:
 # 2**6 times the few ulps that the wraps and differences can lose.
 _SLACK = 2.0**-46
 # `SortedRuns.partner_at_rank` stops narrowing the radius once this few
-# particles remain between the bounds, and sorts them by exact distance.
+# particles remain between the bounds, and sorts them by exact distance.  A
+# secant step need not shrink the bracket much, so past _SECANTS probes it
+# only halves, which ends the search.
 _FEW = 4
 _SECANTS = 12
 
