@@ -81,8 +81,6 @@ class Configuration:
 
     def position(self, i: int, dt: float) -> list[float]:
         """Row i of ``transported(dt).positions`` as Python floats, with the same bits."""
-        if self.positions.shape[1] == 1:  # the same, with fewer numpy calls
-            return [_wrapped(self.positions.item(i), self.velocities.item(i) * dt)]
         rows = zip(self.positions[i].tolist(), self.velocities[i].tolist())
         return [_wrapped(u, w * dt) for u, w in rows]
 
@@ -92,11 +90,7 @@ class Configuration:
         The particle does not move: unless v is its velocity, its comoving
         coordinate becomes wrap(x - v t) for its position x at time t.
         """
-        if self.positions.shape[1] == 1:  # the same, with fewer numpy calls
-            if v[0] != self.velocities.item(i):
-                self.positions[i, 0] = _wrapped(self.position(i, t)[0], -(v[0] * t))
-                self.velocities[i, 0] = v[0]
-        elif v != self.velocities[i].tolist():
+        if v != self.velocities[i].tolist():
             self.positions[i] = [_wrapped(x, -(w * t)) for x, w in zip(self.position(i, t), v)]
             self.velocities[i] = v
 
@@ -113,8 +107,9 @@ def _wrapped(u: float, c: float) -> float:
 _SLACK = 2.0**-46
 # `SortedRuns.partner_at_rank` stops narrowing the radius once this few
 # particles remain between the bounds, and sorts them by exact distance.  A
-# secant step need not shrink the bracket much, so past _SECANTS probes it
-# only halves, which ends the search.
+# secant step need not shrink the bracket much, as when a cluster of tied
+# particles sits at the partner's distance, so past _SECANTS probes it only
+# halves, which bounds the search.
 _FEW = 4
 _SECANTS = 12
 
@@ -200,8 +195,7 @@ class SortedRuns:
             raise IndexError(f"focal {i} or rank {h} out of range for n={n}")
         if h == 0:
             return i
-        u_i = config.positions.item(i)
-        x_i = _wrapped(u_i, config.velocities.item(i) * t) if moving else u_i
+        x_i = config.position(i, t)[0] if moving else config.positions.item(i)
         arcs = []
         reach = 1.0
         for s, (us, ids) in self.runs.items():
@@ -277,12 +271,7 @@ class SortedRuns:
                     p %= size
                     j = ids[p]
                     if j != i:
-                        y = us[p]
-                        if moving:
-                            y += c
-                            y -= math.floor(y)
-                            y -= math.floor(y)
-                        y -= x_i
+                        y = (_wrapped(us[p], c) if moving else us[p]) - x_i
                         near.append((abs(y - round(y)), j))
         if not 0 <= h - before < len(near):
             raise AssertionError(f"rank {h} not among the {len(near)} near particles past {before}")
