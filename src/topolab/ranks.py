@@ -81,6 +81,8 @@ class Configuration:
 
     def position(self, i: int, dt: float) -> list[float]:
         """Row i of ``transported(dt).positions`` as Python floats, with the same bits."""
+        if self.positions.shape[1] == 1:  # every d = 1 event: same bits, fewer numpy calls
+            return [_wrapped(self.positions.item(i), self.velocities.item(i) * dt)]
         rows = zip(self.positions[i].tolist(), self.velocities[i].tolist())
         return [_wrapped(u, w * dt) for u, w in rows]
 
@@ -90,7 +92,11 @@ class Configuration:
         The particle does not move: unless v is its velocity, its comoving
         coordinate becomes wrap(x - v t) for its position x at time t.
         """
-        if v != self.velocities[i].tolist():
+        if self.positions.shape[1] == 1:  # every d = 1 event: same bits, fewer numpy calls
+            if v[0] != self.velocities.item(i):
+                self.positions[i, 0] = _wrapped(self.position(i, t)[0], -(v[0] * t))
+                self.velocities[i, 0] = v[0]
+        elif v != self.velocities[i].tolist():
             self.positions[i] = [_wrapped(x, -(w * t)) for x, w in zip(self.position(i, t), v)]
             self.velocities[i] = v
 
