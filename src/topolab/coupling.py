@@ -8,8 +8,9 @@ ranks.  At every event with focal particle i:
   * partner j is drawn from the Z-world rank probabilities pi_n(i, .), so the
     Z marginal is exact by construction, whatever happens on the sigma side.
     The rank law alpha K(h/(n-1)) is fixed, so the rank h is drawn first and
-    j is the Z particle of rank h around i, found in the sorted runs of the
-    Z world (`SortedRuns`; in d = 2 by one partition);
+    j is the Z particle of rank h around i, found in the sorted runs that the
+    Z world's configuration keeps (`Configuration.partner_at_rank`; in d = 2
+    by one partition);
   * with probability min(pi_n, pi_rho)/pi_n at the drawn partner both worlds
     adopt their own particle j's velocity (joint jump).  Only the two rates
     at (i, j) are needed: pi_n = alpha K(h/(n-1)) and one ball mass for
@@ -24,9 +25,10 @@ ranks.  At every event with focal particle i:
 
 Both worlds store comoving coordinates u = wrap(x - v t), so streaming
 between events only advances the clock; positions are materialized
-(`Configuration.transported`) at snapshots and on one-sided events.  A joint
-event reads and writes a handful of Python floats and list entries, so its
-cost does not grow with n in d = 1.
+(`Configuration.transported`) at snapshots and on one-sided events.  Both
+worlds change velocities through `Configuration.set_velocity`.  A joint event
+reads and writes a handful of Python floats and list entries, so its cost
+does not grow with n in d = 1.
 
 Pairs start identical (delta coupling).  A pair stays flagged as coupled only
 while its two states (u, v) are exactly equal; any one-sided velocity change
@@ -50,7 +52,7 @@ from .initial import VelocityLaw
 from .kernels import Kernel
 from .kinetic import KineticSolution, MassFunction, PhaseGrid, ball_mass_between, edge_cdf
 from .particle import Draws, categorical, empirical_marginal, run_clock
-from .ranks import Configuration, SortedRuns, draw_index, partner_distribution, rank_cdf
+from .ranks import Configuration, draw_index, partner_distribution, rank_cdf
 
 _RESIDUAL_TOL = -1e-12
 
@@ -120,12 +122,13 @@ class UniformReference:
 
     With rho identically 1 the ball mass is the ball volume and the
     redistribution density is the initial velocity law itself, so this
-    reference has no grid or time-stepping error.  Works in d = 1 and d = 2.
+    reference has no grid or time-stepping error.  Works in d = 1 and d = 2,
+    the dimension of the velocity law.
     """
 
-    def __init__(self, velocity_law: VelocityLaw, d: int):
+    def __init__(self, velocity_law: VelocityLaw):
         self.velocity_law = velocity_law
-        self.d = d
+        self.d = velocity_law.d
 
     def ball_mass(self, t: float, center: np.ndarray, radius: float) -> float:
         if self.d == 1:
@@ -176,17 +179,12 @@ def _aggregate_cells(
 
 @dataclass
 class CoupledState:
-    """Paired comoving configurations at time t, the per-pair identity flags,
-    and the sorted runs of the Z world."""
+    """Paired comoving configurations at time t and the per-pair identity flags."""
 
     z: Configuration
     sigma: Configuration
     coupled: np.ndarray
     t: float = 0.0
-    runs: SortedRuns = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.runs = SortedRuns(self.z)
 
     @classmethod
     def delta(cls, initial: Configuration) -> "CoupledState":
@@ -257,7 +255,7 @@ def coupled_event(
     alpha = 1.0 / ranks_cdf[-1]
     i = next(draws.focals)
     h = draw_index(next(draws.uniforms), ranks_cdf)
-    j = state.runs.partner_at_rank(i, h, t)
+    j = state.z.partner_at_rank(i, h, t)
     if record_ranks:
         diag.partner_ranks.append(h)
 
@@ -266,7 +264,7 @@ def coupled_event(
     if next(draws.uniforms) * pi_n_j < min(pi_n_j, pi_rho_j):
         # joint jump: both worlds adopt their particle j's velocity
         v_sigma = state.sigma.velocities[j].tolist()
-        state.runs.set_velocity(i, v_z, t)
+        state.z.set_velocity(i, v_z, t)
         state.sigma.set_velocity(i, v_sigma, t)
         state.coupled[i] = state.coupled[i] and v_z == v_sigma
         diag.joint += 1
@@ -274,7 +272,7 @@ def coupled_event(
 
     # Z jumps alone; any sigma-side velocity change decouples the pair
     z_now, sigma_now = state.z.transported(t), state.sigma.transported(t)
-    state.runs.set_velocity(i, v_z, t)
+    state.z.set_velocity(i, v_z, t)
     state.coupled[i] = False
     diag.z_only += 1
 
@@ -457,8 +455,6 @@ class TrialRecord:
     rescale_mean: np.ndarray
     event_count: int
     partner_ranks: np.ndarray
-    final_z: Configuration
-    final_sigma: Configuration
     z_snapshots: dict[float, Configuration] | None = None
 
 
@@ -522,7 +518,5 @@ def run_coupled_trial(
         rescale_mean=np.asarray(cols[8]),
         event_count=diag.events,
         partner_ranks=np.asarray(diag.partner_ranks, dtype=np.int64),
-        final_z=state.z.transported(horizon),
-        final_sigma=state.sigma.transported(horizon),
         z_snapshots=z_snapshots if record_z_snapshots else None,
     )

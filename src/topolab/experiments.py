@@ -82,6 +82,10 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(spec, dict):
             raise ConfigError(f"config must be a JSON object, not {type(spec).__name__}")
+        try:  # Python's json reads NaN, Infinity and 1e999 (as inf)
+            json.dumps(spec, allow_nan=False)
+        except ValueError as exc:
+            raise ConfigError("config holds NaN, Infinity or a number past the float range") from exc
         version = spec.get("version")
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version!r}, expected {CONFIG_VERSION}")
@@ -91,6 +95,9 @@ class ExperimentConfig:
             kernel.validate()
             initial_spec = spec["initial"]
             initial = initial_law_from_json(initial_spec)
+            for key in ("kinetic", "system", "convergence", "coupling"):
+                if not isinstance(spec.get(key, {}), dict):
+                    raise ConfigError(f"{key} must be a JSON object, not {type(spec[key]).__name__}")
             kin = spec.get("kinetic", {})
             system = spec.get("system", {})
             conv = spec.get("convergence", {})
@@ -143,6 +150,8 @@ class ExperimentConfig:
             diffs = np.diff(self.n_values)
             if np.any(diffs <= 0) or min(self.n_values) < 2:
                 raise ConfigError("n_values must be strictly increasing and >= 2")
+            if self.fit and len(self.n_values) < 4:
+                raise ConfigError(f"convergence.fit needs at least 4 n_values, got {self.n_values}")
         for n in (self.n, *self.n_values):
             rate_normalization(self.kernel, n)
         if not 0.0 < self.snapshot_spacing <= 10 * self.dt + 1e-12:

@@ -190,8 +190,14 @@ def sample_initial(law: InitialLaw, n: int, seed_or_rng) -> Configuration:
     return law.sample(n, np.random.default_rng(seed_or_rng))
 
 
+def _law_spec(spec: dict, name: str) -> dict:
+    if not isinstance(spec, dict):
+        raise InitialLawError(f"{name} must be a JSON object, not {type(spec).__name__}")
+    return spec
+
+
 def position_law_from_json(spec: dict) -> PositionLaw:
-    form = spec.get("form")
+    form = _law_spec(spec, "initial.position").get("form")
     if form == "uniform":
         return PositionLaw.uniform()
     if form == "cosine":
@@ -204,7 +210,7 @@ def position_law_from_json(spec: dict) -> PositionLaw:
 
 
 def velocity_law_from_json(spec: dict) -> VelocityLaw:
-    form = spec.get("form")
+    form = _law_spec(spec, "initial.velocity").get("form")
     if form == "two_point":
         return VelocityLaw.two_point(float(spec.get("speed", 1.0)))
     if form == "four_point":
@@ -216,7 +222,7 @@ def velocity_law_from_json(spec: dict) -> VelocityLaw:
 
 def initial_law_from_json(spec: dict) -> InitialLaw:
     """Parse {"position": {...} | [{...}, ...], "velocity": {...}}."""
-    pos_spec = spec["position"]
+    pos_spec = _law_spec(spec, "initial")["position"]
     velocity = velocity_law_from_json(spec["velocity"])
     if isinstance(pos_spec, dict):
         laws = tuple(position_law_from_json(pos_spec) for _ in range(velocity.d))

@@ -18,7 +18,6 @@ tabulated        piecewise-linear through user breakpoints
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -90,9 +89,10 @@ class Kernel:
         return kernel
 
     @classmethod
-    def from_json(cls, text_or_dict: str | dict) -> "Kernel":
-        """Build a kernel from a JSON description {"form": ..., parameters, table}."""
-        spec = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
+    def from_json(cls, spec: dict) -> "Kernel":
+        """Build a kernel from a JSON object {"form": ..., parameters, table}."""
+        if not isinstance(spec, dict):
+            raise KernelError(f"kernel must be a JSON object, not {type(spec).__name__}")
         form = spec.get("form")
         if form == "uniform":
             return cls.uniform()

@@ -232,7 +232,7 @@ def check_lattice_joint_saturation() -> OracleResult:
     positions = np.arange(n) / (2.0 * (n - 1))
     state = CoupledState.delta(Configuration(positions, np.zeros(n)))
     kernel = Kernel.linear()
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     cdf = rank_cdf(kernel, n)
     draws = Draws(np.random.default_rng(7), n)
     diag = CouplingDiagnostics()

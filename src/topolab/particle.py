@@ -7,7 +7,7 @@ positions.  Between rings particles stream freely.  This is exact Gillespie
 simulation: there is no time-discretization error anywhere in the particle
 world.
 
-The state holds comoving coordinates (`SortedRuns`), so streaming between
+The state holds comoving coordinates (`Configuration`), so streaming between
 rings is only the clock's advance, and positions are built at snapshots.
 The clock's gaps, the focal indices and the uniforms of each ring are drawn
 from the generator in blocks (`Draws`).
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .kernels import Kernel
-from .ranks import Configuration, SortedRuns, draw_index, partner_distribution, rank_cdf
+from .ranks import Configuration, draw_index, partner_distribution, rank_cdf
 
 _MAX_MASTER_STATES = 256
 _BLOCK = 256
@@ -123,12 +123,14 @@ def simulate(
     The state holds comoving coordinates; snapshots and the final
     configuration materialize the positions and do not perturb the chain.
     An event draws the partner's rank from the fixed rank law and then finds
-    the particle of that rank (`SortedRuns`).  With ``frozen_positions`` the
-    streaming velocity is 0, so positions never move.
+    the particle of that rank (`Configuration.partner_at_rank`).  With
+    ``frozen_positions`` the positions never move: the clock of the state
+    stays at 0, and partners are looked up in a copy of the positions with
+    velocity 0, whose one sorted run never changes.
     """
     n = initial.n
     state = initial.copy()
-    runs = SortedRuns(state, moving=not frozen_positions)
+    lookup = Configuration(state.positions, np.zeros((n, state.d))) if frozen_positions else state
     draws = Draws(rng, n)
     snapshots: dict[float, Configuration] = {}
     times: list[float] = []
@@ -148,8 +150,9 @@ def simulate(
         nonlocal count
         i = next(draws.focals)
         h = draw_index(next(draws.uniforms), cdf)
-        j = runs.partner_at_rank(i, h, t)
-        runs.set_velocity(i, state.velocities[j].tolist(), t)
+        at = 0.0 if frozen_positions else t
+        j = lookup.partner_at_rank(i, h, at)
+        state.set_velocity(i, state.velocities[j].tolist(), at)
         count += 1
         if record_events:
             times.append(t)

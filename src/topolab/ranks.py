@@ -10,9 +10,10 @@ distance whenever interparticle distances are pairwise distinct.
 The rank law K(h/(n-1)) does not depend on the positions, so the simulations
 draw a partner's rank first (`rank_cdf`, `draw_index`) and then find the
 particle of that rank.  A running simulation stores comoving coordinates
-u = wrap(x - v t), so free streaming costs nothing; `SortedRuns` keeps them in
-one sorted run per velocity and finds the particle of rank h in d = 1 without
-touching the other particles.  `partner_at_rank` does the same on materialized
+u = wrap(x - v t), so free streaming costs nothing.  In d = 1 a
+`Configuration` keeps its u in one sorted run per velocity, and
+`Configuration.partner_at_rank` finds the particle of rank h without touching
+the other particles.  `partner_at_rank` does the same on materialized
 positions with one partition; it serves d = 2 and is the test oracle.  The
 full rank vector and probability vector (`rank_vector`,
 `partner_distribution`) are built only where a whole row is needed.
@@ -20,9 +21,9 @@ full rank vector and probability vector (`rank_vector`,
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import floor
 
 import numpy as np
 
@@ -35,11 +36,16 @@ class Configuration:
     """Positions and velocities of n particles on the unit d-torus.
 
     Positions are wrapped into [0, 1) on construction.  ``n`` and ``d`` are
-    fixed for the lifetime of a trajectory.
+    fixed for the lifetime of a trajectory.  In d = 1 the first
+    `partner_at_rank` sorts the positions into one run per velocity, which
+    `set_velocity` keeps in step.
     """
 
     positions: np.ndarray
     velocities: np.ndarray
+    _runs: dict[float, tuple[list[float], list[int]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         pos = np.atleast_1d(np.asarray(self.positions, dtype=float))
@@ -71,9 +77,10 @@ class Configuration:
     def transported(self, dt: float) -> "Configuration":
         """Free streaming: advance every particle by its velocity for time dt.
 
-        Returns an independent configuration (velocities copied, not aliased),
-        so snapshots stay frozen while the source keeps evolving.  On comoving
-        coordinates, ``transported(t)`` gives the positions at time t.
+        Returns an independent configuration (velocities copied, not aliased,
+        no runs), so snapshots stay frozen while the source keeps evolving.
+        On comoving coordinates, ``transported(t)`` gives the positions at
+        time t.
         """
         return Configuration(
             torus.wrap(self.positions + self.velocities * dt), self.velocities.copy()
@@ -90,101 +97,39 @@ class Configuration:
         """Give particle i of a comoving configuration the velocity v at time t.
 
         The particle does not move: unless v is its velocity, its comoving
-        coordinate becomes wrap(x - v t) for its position x at time t.
+        coordinate becomes wrap(x - v t) for its position x at time t, and it
+        moves from the sorted run of its old velocity to that of v.
         """
         if self.positions.shape[1] == 1:  # every d = 1 event: same bits, fewer numpy calls
-            if v[0] != self.velocities.item(i):
-                self.positions[i, 0] = _wrapped(self.position(i, t)[0], -(v[0] * t))
+            old = self.velocities.item(i)
+            if v[0] != old:
+                u_old = self.positions.item(i)
+                x = _wrapped(u_old, old * t)  # position(i, t)[0]
+                u = _wrapped(x, -(v[0] * t))
+                self.positions[i, 0] = u
                 self.velocities[i, 0] = v[0]
+                runs = self._runs
+                if runs is not None:
+                    us, ids = runs[old]
+                    p = bisect_left(us, u_old)
+                    while ids[p] != i:
+                        p += 1
+                    del us[p], ids[p]
+                    if not us:
+                        del runs[old]
+                    us, ids = runs.setdefault(v[0], ([], []))
+                    p = bisect_right(us, u)
+                    us.insert(p, u)
+                    ids.insert(p, i)
         elif v != self.velocities[i].tolist():
             self.positions[i] = [_wrapped(x, -(w * t)) for x, w in zip(self.position(i, t), v)]
             self.velocities[i] = v
 
-
-def _wrapped(u: float, c: float) -> float:
-    """wrap(u + c) as `Configuration.transported` computes it: once, and again on construction."""
-    y = u + c
-    y -= math.floor(y)
-    return y - math.floor(y)
-
-
-# The bound on the rounding error of a comoving distance, in units of 1 + |v t|:
-# 2**6 times the few ulps that the wraps and differences can lose.
-_SLACK = 2.0**-46
-# `SortedRuns.partner_at_rank` stops narrowing the radius once this few
-# particles remain between the bounds, and sorts them by exact distance.  A
-# secant step need not shrink the bracket much, as when a cluster of tied
-# particles sits at the partner's distance, so past _SECANTS probes it only
-# halves, which bounds the search.
-_FEW = 4
-_SECANTS = 12
-
-
-def _arc(run: list[float], a: float, r: float) -> tuple[int, int]:
-    """Cyclic index range [start, stop) of the u in ``run`` within the arc [a - r, a + r] mod 1.
-
-    ``run`` is sorted, a lies in [0, 1) and 0 <= r; indices below 0 or past
-    the end count around the circle, and the range covers at most the run.
-    """
-    lo, hi = a - r, a + r
-    start = bisect_left(run, lo + 1.0) - len(run) if lo < 0.0 else bisect_left(run, lo)
-    stop = bisect_right(run, hi - 1.0) + len(run) if hi >= 1.0 else bisect_right(run, hi)
-    return start, min(stop, start + len(run))
-
-
-class SortedRuns:
-    """Rank lookups in a comoving configuration, which it keeps in sorted runs (d = 1).
-
-    The configuration holds u = wrap(x - s t) per particle, with s its
-    streaming velocity: its velocity, or 0 when positions are frozen (then u
-    is x).  Particles of one streaming velocity keep their circular order as
-    they stream, so in d = 1 each velocity has one run of u, sorted, with the
-    particle indices alongside; a velocity change moves one entry from one
-    run to another.  In d = 2 there are no runs: a lookup materializes the
-    positions and calls `partner_at_rank`.
-    """
-
-    def __init__(self, config: Configuration, moving: bool = True):
-        self.config = config
-        self.moving = moving
-        self.runs: dict[float, tuple[list[float], list[int]]] = {}
-        if config.d == 1:
-            u = config.positions[:, 0]
-            s = config.velocities[:, 0] if moving else np.zeros(config.n)
-            order = np.lexsort((u, s))
-            for key in np.unique(s):
-                members = order[s[order] == key]
-                self.runs[float(key)] = (u[members].tolist(), members.tolist())
-
-    def set_velocity(self, i: int, v: list[float], t: float) -> None:
-        """`Configuration.set_velocity`, moving particle i to the run of its new velocity."""
-        config = self.config
-        if not self.moving:
-            config.velocities[i] = v
-            return
-        if not self.runs:
-            config.set_velocity(i, v, t)
-            return
-        old, u_old = config.velocities.item(i), config.positions.item(i)
-        config.set_velocity(i, v, t)
-        if v[0] != old:
-            us, ids = self.runs[old]
-            p = bisect_left(us, u_old)
-            while ids[p] != i:
-                p += 1
-            del us[p], ids[p]
-            if not us:
-                del self.runs[old]
-            us, ids = self.runs.setdefault(v[0], ([], []))
-            u = config.positions.item(i)
-            p = bisect_right(us, u)
-            us.insert(p, u)
-            ids.insert(p, i)
-
     def partner_at_rank(self, i: int, h: int, t: float) -> int:
         """`partner_at_rank` on the positions at time t, with the same tie-break.
 
-        Each run is a circle of u; the particles within distance r of x_i are
+        In d = 2 there are no runs: the positions are materialized.  In d = 1
+        each run is a circle of u; the particles within distance r of x_i are
         an arc of it around a = x_i - s t, counted with two bisections.  The
         radius is narrowed (by interpolating the counts, or halving when that
         stalls) until few particles lie between a radius that holds at most
@@ -193,18 +138,25 @@ class SortedRuns:
         the two radii get their exact distance, computed like
         `torus.distances_from`, and are sorted by (distance, index).
         """
-        config, moving = self.config, self.moving
-        n = config.n
-        if not self.runs:
-            return partner_at_rank(config.transported(t) if moving else config, i, h)
+        if self.positions.shape[1] != 1:
+            return partner_at_rank(self.transported(t), i, h)
+        n = self.n
         if not (0 <= i < n and 0 <= h < n):
             raise IndexError(f"focal {i} or rank {h} out of range for n={n}")
         if h == 0:
             return i
-        x_i = config.position(i, t)[0] if moving else config.positions.item(i)
+        runs = self._runs
+        if runs is None:
+            u, s = self.positions[:, 0], self.velocities[:, 0]
+            order = np.lexsort((u, s))
+            runs = self._runs = {}
+            for key in np.unique(s):
+                members = order[s[order] == key]
+                runs[float(key)] = (u[members].tolist(), members.tolist())
+        x_i = self.position(i, t)[0]
         arcs = []
         reach = 1.0
-        for s, (us, ids) in self.runs.items():
+        for s, (us, ids) in runs.items():
             c = s * t
             arcs.append((us, _wrapped(x_i, -c), len(us), ids, c))
             reach = max(reach, 1.0 + abs(c))
@@ -277,12 +229,43 @@ class SortedRuns:
                     p %= size
                     j = ids[p]
                     if j != i:
-                        y = (_wrapped(us[p], c) if moving else us[p]) - x_i
+                        y = _wrapped(us[p], c) - x_i
                         near.append((abs(y - round(y)), j))
         if not 0 <= h - before < len(near):
             raise AssertionError(f"rank {h} not among the {len(near)} near particles past {before}")
         near.sort()
         return near[h - before][1]
+
+
+def _wrapped(u: float, c: float) -> float:
+    """wrap(u + c) as `Configuration.transported` computes it: once, and again on construction."""
+    y = u + c
+    y -= floor(y)
+    return y - floor(y)
+
+
+# The bound on the rounding error of a comoving distance, in units of 1 + |v t|:
+# 2**6 times the few ulps that the wraps and differences can lose.
+_SLACK = 2.0**-46
+# `Configuration.partner_at_rank` stops narrowing the radius once this few
+# particles remain between the bounds, and sorts them by exact distance.  A
+# secant step need not shrink the bracket much, as when a cluster of tied
+# particles sits at the partner's distance, so past _SECANTS probes it only
+# halves, which bounds the search.
+_FEW = 4
+_SECANTS = 12
+
+
+def _arc(run: list[float], a: float, r: float) -> tuple[int, int]:
+    """Cyclic index range [start, stop) of the u in ``run`` within the arc [a - r, a + r] mod 1.
+
+    ``run`` is sorted, a lies in [0, 1) and 0 <= r; indices below 0 or past
+    the end count around the circle, and the range covers at most the run.
+    """
+    lo, hi = a - r, a + r
+    start = bisect_left(run, lo + 1.0) - len(run) if lo < 0.0 else bisect_left(run, lo)
+    stop = bisect_right(run, hi - 1.0) + len(run) if hi >= 1.0 else bisect_right(run, hi)
+    return start, min(stop, start + len(run))
 
 
 def rank_vector(config: Configuration, i: int) -> np.ndarray:

@@ -108,6 +108,17 @@ def test_invalid_config_is_validation_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_rate_fit_with_too_few_sizes_fails_before_writing(tmp_path, capsys):
+    # the fit needs four sizes; two fail when the config loads, not after the trials
+    spec = small_spec()
+    spec["convergence"]["fit"] = True
+    config = write_config(tmp_path, spec)
+    rc = main(["convergence", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "at least 4 n_values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_below_one_are_rejected_when_parsed(tmp_path):
     config = write_config(tmp_path, small_spec())
     for value in ("0", "-3"):

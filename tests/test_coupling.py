@@ -48,13 +48,12 @@ def test_flat_kernel_every_event_joint():
     # K = 1 makes both rate vectors identical, so pairs never decouple
     kernel = Kernel.uniform()
     initial = sample_initial(uniform_law(), 32, 5)
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     rng = np.random.default_rng(0)
     record = run_coupled_trial(kernel, ref, initial, 2.0, rng, snapshot_times=(1.0, 2.0))
     assert record.z_only[-1] == 0
     assert record.joint[-1] == record.event_count
     np.testing.assert_array_equal(record.d_n, 0.0)
-    np.testing.assert_array_equal(record.final_z.velocities, record.final_sigma.velocities)
 
 
 def test_lattice_construction_suppresses_one_sided_jumps():
@@ -65,7 +64,7 @@ def test_lattice_construction_suppresses_one_sided_jumps():
     positions = np.arange(n) / (2.0 * (n - 1))
     initial = Configuration(positions, np.zeros(n))
     kernel = Kernel.linear()
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     cdf = rank_cdf(kernel, n)
     draws = Draws(np.random.default_rng(3), n)
     state = CoupledState.delta(initial)
@@ -80,7 +79,7 @@ def test_lattice_construction_suppresses_one_sided_jumps():
 def test_z_only_jump_decouples_and_is_absorbing():
     kernel = Kernel.linear()
     initial = sample_initial(uniform_law(), 16, 9)
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     rng = np.random.default_rng(11)
     record = run_coupled_trial(
         kernel, ref, initial, 4.0, rng, snapshot_times=tuple(np.linspace(0.25, 4.0, 16))
@@ -97,7 +96,7 @@ def test_z_only_jump_decouples_and_is_absorbing():
 
 def test_coupled_trial_rejects_a_negative_horizon():
     initial = sample_initial(uniform_law(), 8, 1)
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     with pytest.raises(ValueError, match="horizon"):
         run_coupled_trial(Kernel.linear(), ref, initial, -0.25, np.random.default_rng(0), ())
 
@@ -173,7 +172,7 @@ def _oracle_coupled_event(state, kernel, reference, alpha, rng, diag):
     diag.partner_ranks.append(int(ranks[j]))
     v_z, v_sigma = state.z.velocities[j].tolist(), state.sigma.velocities[j].tolist()
     x_i = state.sigma.transported(t).positions[i]
-    state.runs.set_velocity(i, v_z, t)
+    state.z.set_velocity(i, v_z, t)
     if rng.random() * pi_n[j] < lam[j]:
         state.sigma.set_velocity(i, v_sigma, t)
         state.coupled[i] = state.coupled[i] and v_z == v_sigma
@@ -220,7 +219,7 @@ def test_pair_rates_match_full_row_oracle(preset):
     kernel = preset_kernels()[preset]
     n = 40
     alpha = rate_normalization(kernel, n)
-    for reference in (UniformReference(VelocityLaw.two_point(), d=1), kinetic_reference(kernel, nx=64)):
+    for reference in (UniformReference(VelocityLaw.two_point()), kinetic_reference(kernel, nx=64)):
         state = _evolved_state(kernel, reference, n, seed=len(preset))
         assert preset == "uniform" or not state.coupled.all()  # K = 1 never decouples
         worst = 0.0
@@ -276,7 +275,7 @@ def test_rank_first_event_has_the_oracle_law():
     # the rank-first event and the full-row oracle must agree on it
     kernel = Kernel.linear()
     n, events = 16, 20_000
-    reference = UniformReference(VelocityLaw.two_point(), d=1)
+    reference = UniformReference(VelocityLaw.two_point())
     initial = sample_initial(uniform_law(), n, 29)
     _assert_same_event_law(*_event_class_tables(kernel, reference, initial, 0.0, events))
 
@@ -293,7 +292,7 @@ def test_rank_first_event_has_the_oracle_law_on_a_moving_state():
 
 
 def test_tv_estimate_identical_and_disjoint():
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     x_edges = np.linspace(0, 1, 9)
     # identical: particles exactly at the uniform-product cell masses is not
     # constructible, but the reference against itself is zero by definition
@@ -301,9 +300,7 @@ def test_tv_estimate_identical_and_disjoint():
     assert 0.5 * np.abs(masses - masses).sum() == 0.0
     # disjoint supports: all particles at +1 velocity vs a reference at -1
     config = Configuration(np.linspace(0, 1, 50, endpoint=False), np.full(50, 1.0))
-    one_sided = UniformReference(
-        VelocityLaw.discrete([[-1.0]], [1.0]), d=1
-    )
+    one_sided = UniformReference(VelocityLaw.discrete([[-1.0]], [1.0]))
     assert tv_estimate(config, one_sided, 0.0, x_edges, V_EDGES) == pytest.approx(1.0)
 
 
@@ -353,7 +350,7 @@ def test_lln_diagnostic_quantile_construction():
 
 
 def test_lln_diagnostic_two_particles_bounds():
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     config = Configuration(np.array([0.1, 0.4]), np.zeros(2))
     val = lln_diagnostic(config, ref, 0.0)
     assert 0.0 <= val <= 1.0
@@ -361,7 +358,7 @@ def test_lln_diagnostic_two_particles_bounds():
 
 def test_lln_diagnostic_iid_rate():
     # slope of log mean diagnostic against log(n-1) near -1/2 for i.i.d. samples
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     rng = np.random.default_rng(8)
     ns = [64, 256, 1024]
     means = []
@@ -381,7 +378,7 @@ def test_two_dimensional_coupling_runs():
     kernel = Kernel.linear()
     law = InitialLaw((PositionLaw.uniform(), PositionLaw.uniform()), VelocityLaw.four_point())
     initial = sample_initial(law, 32, 13)
-    ref = UniformReference(VelocityLaw.four_point(), d=2)
+    ref = UniformReference(VelocityLaw.four_point())
     rng = np.random.default_rng(4)
     record = run_coupled_trial(kernel, ref, initial, 1.0, rng, snapshot_times=(0.5, 1.0))
     assert record.event_count > 0
@@ -417,14 +414,17 @@ def test_two_particle_consensus_probability_analytic():
     # with one partner the first event forces consensus, so the initial
     # velocity pair survives to time t with probability exactly e^{-2t}
     kernel = Kernel.uniform()
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
     t_probe, trials = 0.7, 3000
     survived = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=37, spawn_key=(trial,)))
         initial = Configuration(np.array([0.2, 0.6]), np.array([-1.0, 1.0]))
-        rec = run_coupled_trial(kernel, ref, initial, t_probe, rng, snapshot_times=())
-        survived += int(rec.final_z.velocities[0, 0] != rec.final_z.velocities[1, 0])
+        rec = run_coupled_trial(
+            kernel, ref, initial, t_probe, rng, snapshot_times=(t_probe,), record_z_snapshots=True
+        )
+        z = rec.z_snapshots[t_probe]
+        survived += int(z.velocities[0, 0] != z.velocities[1, 0])
     expected = np.exp(-2 * t_probe)
     stderr = np.sqrt(expected * (1 - expected) / trials)
     assert abs(survived / trials - expected) < 3.5 * stderr
@@ -435,7 +435,7 @@ def test_z_marginal_matches_standalone_rank_frequencies():
     kernel = Kernel.linear()
     n, horizon, trials = 16, 1.0, 400
     law = uniform_law()
-    ref = UniformReference(VelocityLaw.two_point(), d=1)
+    ref = UniformReference(VelocityLaw.two_point())
 
     coupled_ranks = []
     standalone_ranks = []

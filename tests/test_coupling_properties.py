@@ -49,10 +49,10 @@ def test_coupled_pairs_identical_and_decoupling_never_reverses(n, d, preset, kin
     kernel = preset_kernels()[preset]
     if d == 1:
         law = InitialLaw((PositionLaw.cosine(0.3),), VelocityLaw.two_point())
-        reference = kinetic_reference(preset) if kinetic else UniformReference(law.velocity, d=1)
+        reference = kinetic_reference(preset) if kinetic else UniformReference(law.velocity)
     else:
         law = InitialLaw((PositionLaw.uniform(), PositionLaw.uniform()), VelocityLaw.four_point())
-        reference = UniformReference(law.velocity, d=2)
+        reference = UniformReference(law.velocity)
     rng = np.random.default_rng(seed)
     draws = Draws(rng, n)
     state = CoupledState.delta(sample_initial(law, n, seed))
@@ -94,8 +94,8 @@ def test_z_runs_of_a_coupled_run_find_the_partner_at_rank(n, preset, seed):
         z = state.z.transported(state.t)
         for i in range(n):
             for h in range(n):
-                assert state.runs.partner_at_rank(i, h, state.t) == partner_at_rank(z, i, h)
-        for v, (us, ids) in state.runs.runs.items():
+                assert state.z.partner_at_rank(i, h, state.t) == partner_at_rank(z, i, h)
+        for v, (us, ids) in state.z._runs.items():
             assert us == sorted(us)
             assert state.z.positions[ids, 0].tolist() == us
             assert np.all(state.z.velocities[ids, 0] == v)
@@ -145,7 +145,7 @@ def test_scalar_ball_mass_has_the_row_bits(preset, query):
     radius=st.sampled_from([0.0, 0.25, 0.5, 0.6, math.sqrt(0.5), 1.0]) | st.floats(0.0, 1.0),
 )
 def test_uniform_scalar_ball_mass_has_the_row_bits(d, radius):
-    reference = UniformReference(VelocityLaw.four_point() if d == 2 else VelocityLaw.two_point(), d=d)
+    reference = UniformReference(VelocityLaw.four_point() if d == 2 else VelocityLaw.two_point())
     c = np.full(d, 0.5)
     scalar = reference.ball_mass(0.3, c, radius)
     assert type(scalar) is float

@@ -93,6 +93,73 @@ def test_config_rejects_wide_snapshot_spacing():
             ExperimentConfig.from_json(spec)
 
 
+def spec_with(path: str, value) -> dict:
+    """`base_spec` with the entry at a dotted path set to value."""
+    spec = base_spec()
+    *owners, key = path.split(".")
+    target = spec
+    for owner in owners:
+        target = target[owner]
+    target[key] = value
+    return spec
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("kinetic", 5),
+        ("system", [1]),
+        ("coupling", "x"),
+        ("convergence", 5),
+        ("kernel", 5),
+        ("kernel", "linear"),
+        ("initial.velocity", 5),
+        ("initial.position", [5]),
+    ],
+)
+def test_config_sections_must_be_objects(path, value):
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        ExperimentConfig.from_json(spec_with(path, value))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("kinetic.v_max", float("nan")),
+        ("kernel", {"form": "tabulated", "table": [[0.0, 2.0], [0.5, float("nan")], [1.0, 0.0]]}),
+        ("initial.velocity", {"form": "two_point", "speed": float("nan")}),
+        ("system.horizon", float("inf")),
+        ("snapshot_times", [0.25, float("-inf")]),
+    ],
+)
+def test_config_rejects_non_finite_numbers(path, value):
+    spec = spec_with(path, value)
+    with pytest.raises(ConfigError, match="NaN, Infinity"):
+        ExperimentConfig.from_json(spec)
+    # the same as a config file spells it: NaN, Infinity, -Infinity
+    with pytest.raises(ConfigError, match="NaN, Infinity"):
+        ExperimentConfig.from_json(json.dumps(spec))
+
+
+def test_config_rejects_an_overflowing_number():
+    text = json.dumps(base_spec()).replace('"horizon": 0.5', '"horizon": 1e999')
+    with pytest.raises(ConfigError, match="NaN, Infinity"):
+        ExperimentConfig.from_json(text)
+
+
+def test_config_fit_needs_four_sizes():
+    for n_values in ([8], [8, 16, 32]):
+        with pytest.raises(ConfigError, match="at least 4 n_values"):
+            ExperimentConfig.from_json(base_spec(convergence={"n_values": n_values, "trials": 4}))
+    # without sizes, without the fit, or with four sizes, the config loads
+    for conv in (
+        {"trials": 4},
+        {"n_values": [8, 16, 32], "trials": 4, "fit": False},
+        {"n_values": [8, 16, 32, 64], "trials": 4},
+    ):
+        assert ExperimentConfig.from_json(base_spec(convergence=conv)).trials == 4
+
+
 def test_kinetic_cache_round_trip(tmp_path):
     config = ExperimentConfig.from_json(base_spec())
     first = kinetic_solution(config, tmp_path)
@@ -240,7 +307,7 @@ def test_run_trials_starts_no_more_workers_than_trials(monkeypatch):
     monkeypatch.setattr(experiments, "_WORKER_CTX", {})
     spec = base_spec(convergence={"n_values": [8], "trials": 2, "fit": False})
     config = ExperimentConfig.from_json(spec)
-    reference = UniformReference(config.initial.velocity, d=1)
+    reference = UniformReference(config.initial.velocity)
     serial = experiments.run_trials(config, reference, 8, threads=1)
     assert asked == []
     pooled = experiments.run_trials(config, reference, 8, threads=8)

@@ -64,10 +64,10 @@ def test_joint_events_touch_no_whole_array(calls, monkeypatch):
     )
     assert kinds["joint"] + kinds["one-sided"] == record.event_count > 500
     assert kinds["joint"] > 0.9 * record.event_count
-    # outside the events: both worlds at each snapshot and at the end, and
-    # the law-of-large-numbers diagnostic's distances at each snapshot
+    # outside the events: both worlds at each snapshot, and the
+    # law-of-large-numbers diagnostic's distances at each snapshot
     outside = calls - in_events
-    assert outside == Counter(transported=2 * len(SNAPSHOTS) + 2, distances_from=len(SNAPSHOTS))
+    assert outside == Counter(transported=2 * len(SNAPSHOTS), distances_from=len(SNAPSHOTS))
 
 
 @pytest.mark.parametrize("frozen", [False, True])

@@ -1,5 +1,6 @@
-"""Property tests of the rank-first partner lookups (`partner_at_rank` and the
-sorted runs of comoving coordinates) and of the rank draw."""
+"""Property tests of the rank-first partner lookups (`partner_at_rank` and
+`Configuration.partner_at_rank` on the sorted runs of comoving coordinates)
+and of the rank draw."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from topolab.kernels import (  # noqa: E402
 )
 from topolab.ranks import (  # noqa: E402
     Configuration,
-    SortedRuns,
     draw_index,
     partner_at_rank,
     rank_cdf,
@@ -85,46 +85,73 @@ def comoving_histories(draw) -> tuple[Configuration, list]:
     return Configuration(positions, velocities), steps
 
 
+def assert_runs_mirror(config: Configuration) -> None:
+    """Each run holds, sorted, the u of every particle of its velocity and nothing else."""
+    members = []
+    for v, (us, ids) in config._runs.items():
+        assert us == sorted(us)
+        assert config.positions[ids, 0].tolist() == us
+        assert np.all(config.velocities[ids, 0] == v)
+        members += ids
+    assert sorted(members) == list(range(config.n))
+
+
 @settings(max_examples=60, deadline=None)
-@given(comoving_histories(), st.booleans())
-def test_sorted_runs_find_the_partner_at_rank(history, moving):
+@given(comoving_histories(), st.booleans(), st.integers(0, 3))
+def test_sorted_runs_find_the_partner_at_rank(history, moving, first_lookup):
     # after any sequence of velocity changes (copies of another particle's
-    # velocity and fresh atoms), the sorted runs give `partner_at_rank` on the
-    # positions at that time for every (i, h); frozen runs stream with velocity 0
+    # velocity and fresh atoms), made before or after the first lookup builds
+    # the runs, the lookup at time t is `partner_at_rank` on the positions at
+    # that time for every (i, h).  Frozen positions (as `simulate` keeps them)
+    # change velocities at time 0 and are looked up in a copy with velocity 0.
     config, steps = history
-    runs = SortedRuns(config, moving=moving)
-    for t, switches in steps:
-        positions = config.transported(t) if moving else config
-        for i in range(config.n):
-            for h in range(config.n):
-                assert runs.partner_at_rank(i, h, t) == partner_at_rank(positions, i, h)
+    lookup = config if moving else Configuration(config.positions, np.zeros(config.n))
+    for step, (t, switches) in enumerate(steps):
+        t = t if moving else 0.0
+        if step >= first_lookup:
+            positions = lookup.transported(t)
+            for i in range(config.n):
+                for h in range(config.n):
+                    assert lookup.partner_at_rank(i, h, t) == partner_at_rank(positions, i, h)
         for i, source in switches:
             v = [source] if isinstance(source, float) else config.velocities[source].tolist()
-            x = positions.positions[i].tolist()
-            runs.set_velocity(i, v, t)
+            x = config.position(i, t)
+            config.set_velocity(i, v, t)
             assert config.velocities[i].tolist() == v
-            if moving:  # the particle stays where it was, up to the rounding of the new u
+            if t == 0.0:  # frozen positions never move
+                assert config.position(i, t) == x
+            else:  # the particle stays where it was, up to the rounding of the new u
                 assert torus.pair_distance(config.position(i, t), x) <= 1e-15 * (1.0 + 2 * t)
-            else:
-                assert config.positions[i].tolist() == x
-        members = sorted(j for _, ids in runs.runs.values() for j in ids)
-        assert members == list(range(config.n))
+        if config._runs is not None:
+            assert_runs_mirror(config)
+    assert (config._runs is None) == (not moving or first_lookup >= len(steps))
+    t = steps[-1][0] if moving else 0.0
+    positions = lookup.transported(t)
+    for i in range(config.n):
+        for h in range(config.n):
+            assert lookup.partner_at_rank(i, h, t) == partner_at_rank(positions, i, h)
+    assert_runs_mirror(lookup)
 
 
 def test_sorted_runs_errors_and_two_dimensions():
     config = lattice_config(5, 1)
     for i, h in ((-1, 1), (5, 1), (0, -1), (0, 5)):
         with pytest.raises(IndexError):
-            SortedRuns(config).partner_at_rank(i, h, 0.0)
+            config.partner_at_rank(i, h, 0.0)
+    # runs belong to the configuration that built them: copies and
+    # transported configurations start without any
+    config.partner_at_rank(0, 1, 0.0)
+    assert config._runs is not None
+    assert config.copy()._runs is None and config.transported(0.5)._runs is None
     # d = 2 has no runs: the lookup is `partner_at_rank` on the materialized positions
     rng = np.random.default_rng(3)
     config = Configuration(rng.uniform(0.0, 1.0, (30, 2)), rng.choice([-1.0, 0.0, 1.0], (30, 2)))
-    runs = SortedRuns(config)
-    assert not runs.runs
     moved = config.transported(0.7)
     for i in range(30):
         for h in range(30):
-            assert runs.partner_at_rank(i, h, 0.7) == partner_at_rank(moved, i, h)
+            assert config.partner_at_rank(i, h, 0.7) == partner_at_rank(moved, i, h)
+        config.set_velocity(i, [0.5, -0.5], 0.7)
+    assert config._runs is None
 
 
 def test_partner_at_rank_errors():
