@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import Reference, SolutionReference, TrialRecord, decoupling_bound, run_coupled_trial
-from .initial import InitialLaw, initial_law_from_json, sample_initial
+from .initial import InitialLaw, initial_law_from_json, json_value, sample_initial
 from .kernels import Kernel, rate_normalization
 from .kinetic import (
     SOLVER_VERSION,
@@ -103,25 +103,27 @@ class ExperimentConfig:
             conv = spec.get("convergence", {})
             coupling = spec.get("coupling", {})
             config = cls(
-                seed=int(spec.get("seed", 0)),
+                seed=json_value(spec.get("seed", 0), int, "seed"),
                 kernel=kernel,
                 kernel_spec=kernel_spec,
                 initial=initial,
                 initial_spec=initial_spec,
-                nx=int(kin.get("nx", 512)),
-                nv=int(kin.get("nv", 5)),
+                nx=json_value(kin.get("nx", 512), int, "kinetic.nx"),
+                nv=json_value(kin.get("nv", 5), int, "kinetic.nv"),
                 v_max=float(kin.get("v_max", 1.25)),
                 dt=float(kin.get("dt", 0.01)),
                 snapshot_spacing=float(kin.get("snapshot_spacing", 0.02)),
-                n=int(system.get("n", 64)),
-                dimension=int(system.get("dimension", 1)),
+                n=json_value(system.get("n", 64), int, "system.n"),
+                dimension=json_value(system.get("dimension", 1), int, "system.dimension"),
                 horizon=float(system.get("horizon", 1.0)),
-                frozen_positions=bool(system.get("frozen_positions", False)),
+                frozen_positions=json_value(
+                    system.get("frozen_positions", False), bool, "frozen_positions"
+                ),
                 snapshot_times=tuple(float(t) for t in spec.get("snapshot_times", [])),
-                tv_bins_x=int(coupling.get("tv_bins_x", 8)),
-                n_values=tuple(int(v) for v in conv.get("n_values", [])),
-                trials=int(conv.get("trials", 1)),
-                fit=bool(conv.get("fit", True)),
+                tv_bins_x=json_value(coupling.get("tv_bins_x", 8), int, "tv_bins_x"),
+                n_values=tuple(json_value(v, int, "n_values") for v in conv.get("n_values", [])),
+                trials=json_value(conv.get("trials", 1), int, "trials"),
+                fit=json_value(conv.get("fit", True), bool, "fit"),
             )
             config.validate()
         except (KeyError, TypeError, ValueError) as exc:

@@ -190,6 +190,14 @@ def sample_initial(law: InitialLaw, n: int, seed_or_rng) -> Configuration:
     return law.sample(n, np.random.default_rng(seed_or_rng))
 
 
+def json_value(value, kind: type, name: str):
+    """A JSON bool (true or false only) or int (an integral number, not a bool: 12.0 is 12)."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float)) or value % 1:
+        wanted = "true or false" if kind is bool else "an integer"
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    return kind(value)
+
+
 def _law_spec(spec: dict, name: str) -> dict:
     if not isinstance(spec, dict):
         raise InitialLawError(f"{name} must be a JSON object, not {type(spec).__name__}")
@@ -201,7 +209,8 @@ def position_law_from_json(spec: dict) -> PositionLaw:
     if form == "uniform":
         return PositionLaw.uniform()
     if form == "cosine":
-        return PositionLaw.cosine(float(spec["amplitude"]), int(spec.get("frequency", 1)))
+        frequency = json_value(spec.get("frequency", 1), int, "initial.position.frequency")
+        return PositionLaw.cosine(float(spec["amplitude"]), frequency)
     if form == "two_mode":
         return PositionLaw.two_mode(float(spec["amplitude"]), float(spec["amplitude2"]))
     if form == "bump":

@@ -114,11 +114,12 @@ class Kernel:
 
     # -- evaluation --------------------------------------------------------
 
-    def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
+    def __call__(self, r: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray | float:
         """Evaluate K at normalized ranks r in [0, 1].
 
         A scalar r takes the closed forms in Python floats, with the same
-        operations as the array path and so the same bits.
+        operations as the array path and so the same bits.  ``out`` (r itself
+        allowed) receives the values of an array r by the same operations.
         """
         if not isinstance(r, np.ndarray) and self.form in _CLOSED_FORMS:
             r = float(r)
@@ -130,14 +131,17 @@ class Kernel:
             return max((2.0 / eps) * (1.0 - r / eps), 0.0)
         r_arr = np.asarray(r, dtype=float)
         if self.form == "uniform":
-            out = np.ones_like(r_arr)
+            out = np.empty_like(r_arr) if out is None else out
+            out.fill(1.0)
         elif self.form == "linear":
-            out = 2.0 * (1.0 - r_arr)
+            out = np.multiply(2.0, np.subtract(1.0, r_arr, out=out), out=out)
         elif self.form == "truncated_linear":
             eps = self.epsilon
-            out = np.maximum((2.0 / eps) * (1.0 - r_arr / eps), 0.0)
+            ramp = np.subtract(1.0, np.divide(r_arr, eps, out=out), out=out)
+            out = np.maximum(np.multiply(2.0 / eps, ramp, out=out), 0.0, out=out)
         elif self.form == "tabulated":
-            out = np.interp(r_arr, self.breakpoints, self.table_values)
+            values = np.interp(r_arr, self.breakpoints, self.table_values)
+            out = values if out is None else np.positive(values, out=out)
         else:  # pragma: no cover - constructors forbid this
             raise KernelError(f"unknown kernel form {self.form!r}")
         return out if isinstance(r, np.ndarray) else float(out)

@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .initial import InitialLaw
 from .kernels import Kernel
@@ -162,14 +162,14 @@ class MassFunction:
             raise ValueError("radius must be nonnegative")
         return self._cdf(center + r) - self._cdf(center - r)
 
-    def center_ball_masses(self) -> np.ndarray:
-        """Table M[i, k] = m(x_i, k dx) of ball masses around cell centers, k <= nx // 2."""
+    def center_windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views A, B whose difference is the table M[i, k] = m(x_i, k dx), k <= nx // 2."""
         nx = self.edge_cdf.size - 1
         h = nx // 2
         # x_i +- k dx is a cell center: M[i, k] = C[i+k] - C[i-k] for the CDF C there
         centers = (np.arange(-h, nx + h) + 0.5) * (1.0 / nx)
         windows = np.lib.stride_tricks.sliding_window_view(self._cdf(centers), h + 1)
-        return windows[h:h + nx] - windows[:nx, ::-1]
+        return windows[h:h + nx], windows[:nx, ::-1]
 
 
 def ball_mass_between(
@@ -202,29 +202,43 @@ def ball_mass_between(
 
 
 def gain_weights(
-    mass_fn: MassFunction, grid: PhaseGrid, kernel: Kernel, quad_scale: float = 1.0
+    mass_fn: MassFunction, grid: PhaseGrid, kernel: Kernel, quad_scale: float = 1.0, weights=None
 ) -> np.ndarray:
-    """Quadrature matrix W[i, j] = K(m(x_i, dist(x_i, x_j))) * dx.
+    """Quadrature matrix W[i, j] = K(m(x_i, dist(x_i, x_j))) * dx, over ``weights`` if given.
 
-    dist is k <= nx // 2 whole cells, so W gathers from K(center_ball_masses).
-    ``quad_scale`` perturbs the quadrature weight; it exists so oracle checks
-    can demonstrate they detect a miscalibrated weight, and is 1 in real use.
+    dist is k <= nx // 2 whole cells, so row i of W is the nx-periodic row
+    P_i[m] = half[i, min(m, nx - m)] turned right by i, for half = K(M) dx and
+    M of `MassFunction.center_windows`.  W is written by blocks of rows, each
+    read from a block of P with a view that starts one column further left
+    on each row; half and P are held for one block only.  ``quad_scale``
+    perturbs the quadrature weight; it exists so oracle checks can
+    demonstrate they detect a miscalibrated weight, and is 1 in real use.
     """
-    half = kernel(mass_fn.center_ball_masses()) * (grid.dx * quad_scale)
-    return np.take(half, _offset_index(grid.nx))
+    nx, width = grid.nx, grid.nx // 2 + 1
+    block = min(nx, max(1, (1 << 15) // nx))  # so a block of rows, about 256 kB, stays in cache
+    weights = np.empty((nx, nx)) if weights is None else weights
+    half_rows, rows_buf = np.empty((block, width)), np.empty((block, block + nx))
+    skew = (rows_buf.strides[0] - rows_buf.itemsize, rows_buf.itemsize)
+    outer, inner = mass_fn.center_windows()
+    for a in range(0, nx, block):
+        b = min(a + block, nx)
+        half = np.subtract(outer[a:b], inner[a:b], out=half_rows[: b - a])
+        kernel(half, out=half)
+        half *= grid.dx * quad_scale
+        rows = rows_buf[: b - a]  # rows[r, c] = P_{a+r}[(c - block) mod nx]
+        rows[:, block : block + width] = half
+        rows[:, block + width :] = half[:, nx - width : 0 : -1]
+        rows[:, :block] = rows[:, nx:]
+        # W[a + r, j] = rows[r, block + (j - a - r) mod nx], for j >= a and then j < a
+        for lo, hi, col in ((a, nx, block), (0, a, block + nx - a)):
+            weights[a:b, lo:hi] = as_strided(rows[:, col:], (b - a, hi - lo), skew)  # read only
+    return weights
 
 
-@lru_cache(maxsize=4)
-def _offset_index(nx: int) -> np.ndarray:
-    """For each W[i, j], the flat index of its entry in the (nx, nx // 2 + 1) half table."""
-    k = np.abs(np.arange(nx)[:, None] - np.arange(nx))
-    return np.minimum(k, nx - k) + (nx // 2 + 1) * np.arange(nx)[:, None]
-
-
-def gain(f: GridDensity, kernel: Kernel) -> np.ndarray:
+def gain(f: GridDensity, kernel: Kernel, weights: np.ndarray | None = None) -> np.ndarray:
     """Gain term G[x][v] of the collision operator for the current density."""
     rho = f.density()
-    weights = gain_weights(MassFunction(edge_cdf(rho, f.grid.dx)), f.grid, kernel)
+    weights = gain_weights(MassFunction(edge_cdf(rho, f.grid.dx)), f.grid, kernel, 1.0, weights)
     return rho[:, None] * (weights @ f.values)
 
 
@@ -254,18 +268,18 @@ def transport(values: np.ndarray, grid: PhaseGrid, dt: float) -> np.ndarray:
     return out
 
 
-def step(f: GridDensity, kernel: Kernel, dt: float) -> GridDensity:
+def step(f: GridDensity, kernel: Kernel, dt: float, weights=None) -> GridDensity:
     """One Strang step; returns a new density at time t + dt.
 
     The collision substep is the convex combination (1-dt) f + dt G, so
     nonnegativity is preserved for dt <= 1.  A single multiplicative
     renormalization repairs the quadrature mass drift; its magnitude is
-    recorded on the result as ``renorm_drift``.
+    recorded on the result as ``renorm_drift``.  ``weights`` goes to `gain`.
     """
     if not 0.0 < dt <= 1.0:
         raise ValueError(f"collision substep needs 0 < dt <= 1, got {dt}")
     values = transport(f.values, f.grid, 0.5 * dt)
-    values = values + dt * (gain(GridDensity(f.grid, values), kernel) - values)
+    values = values + dt * (gain(GridDensity(f.grid, values), kernel, weights) - values)
     if values.min() < _NEGATIVITY_TOL:
         raise SolverInstabilityError(f"collision produced negative values down to {values.min()}")
     np.maximum(values, 0.0, out=values)
@@ -318,7 +332,7 @@ def solve(
     """March f0 to the horizon, emitting snapshots at the requested times.
 
     Snapshot times (and the horizon) must sit on the dt-grid so that a run is
-    bitwise independent of which snapshots are requested.
+    bitwise independent of which snapshots are requested.  Its steps share one W.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -333,6 +347,7 @@ def solve(
         wanted[k] = float(s)
 
     f0.check()
+    weights = np.empty((f0.grid.nx, f0.grid.nx))  # refilled by every step
     current = f0.copy()
     times: list[float] = []
     snaps: list[GridDensity] = []
@@ -341,7 +356,7 @@ def solve(
         times.append(wanted[0])
         snaps.append(current.copy())
     for k in range(1, n_steps + 1):
-        current = step(current, kernel, dt)
+        current = step(current, kernel, dt, weights)
         current.t = k * dt
         drift += current.renorm_drift
         current.check()
@@ -374,16 +389,3 @@ def density_to_csv(f: GridDensity, path) -> None:
         )
         for row in f.values:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def density_from_csv(path) -> GridDensity:
-    with open(path, "r", encoding="utf-8") as fh:
-        schema_line = fh.readline().strip()
-        if schema_line != f"# schema={_DENSITY_SCHEMA}":
-            raise ValueError(f"unknown grid-density schema line {schema_line!r}")
-        meta = dict(
-            item.split("=") for item in fh.readline().strip().lstrip("# ").split()
-        )
-        grid = PhaseGrid(nx=int(meta["nx"]), nv=int(meta["nv"]), v_max=float(meta["v_max"]))
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return GridDensity(grid, values, t=float(meta["t"]))

@@ -35,6 +35,14 @@ def test_simulate_and_kinetic_and_couple(tmp_path, capsys):
     assert (out / "trials_n8.csv").exists()
 
 
+def test_kinetic_density_matches_golden_file(tmp_path):
+    # pins the solver's bits directly: the final density of the golden config
+    out = tmp_path / "out"
+    assert main(["kinetic", "--config", str(DATA / "golden_config.json"), "--out", str(out)]) == EXIT_OK
+    expected = (DATA / "golden" / "density_t1.csv").read_bytes()
+    assert (out / "density_t1.csv").read_bytes() == expected
+
+
 def test_convergence_then_report(tmp_path):
     config = write_config(tmp_path, small_spec())
     out = tmp_path / "out"
@@ -105,6 +113,17 @@ def test_invalid_config_is_validation_error(tmp_path, capsys):
         rc = main(["convergence", "--config", str(config), "--out", str(tmp_path / "out"), *extra])
         assert rc == EXIT_CONFIG
         assert "JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_config_casts_fail_before_writing(tmp_path, capsys):
+    for section, key, value in (("system", "frozen_positions", "false"), ("system", "n", 12.9)):
+        spec = small_spec()
+        spec[section][key] = value
+        config = write_config(tmp_path, spec)
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -160,6 +160,51 @@ def test_config_fit_needs_four_sizes():
         assert ExperimentConfig.from_json(base_spec(convergence=conv)).trials == 4
 
 
+# each value loaded at the parent of this check: bool() and int() cast it
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("system.frozen_positions", "false", "frozen_positions must be true or false"),
+        ("system.frozen_positions", 0, "frozen_positions must be true or false"),
+        ("convergence.fit", "false", "fit must be true or false"),
+        ("seed", 3.5, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("kinetic.nx", 64.5, "kinetic.nx must be an integer"),
+        ("kinetic.nv", "5", "kinetic.nv must be an integer"),
+        ("system.n", 12.9, "system.n must be an integer"),
+        ("system.dimension", True, "system.dimension must be an integer"),
+        ("coupling.tv_bins_x", 8.5, "tv_bins_x must be an integer"),
+        ("convergence.trials", "4", "trials must be an integer"),
+        ("convergence.n_values", [8, 16.5, 32, 64], "n_values must be an integer"),
+        ("convergence.n_values", [8, "16", 32, 64], "n_values must be an integer"),
+        ("initial.position.frequency", 1.5, "frequency must be an integer"),
+    ],
+)
+def test_config_flags_are_booleans_and_counts_are_integers(path, value, message):
+    spec = spec_with("convergence.n_values", [8, 16, 32, 64])
+    *owners, key = path.split(".")
+    target = spec
+    for owner in owners:
+        target = target[owner]
+    target[key] = value
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_json(spec)
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_json(json.dumps(spec))
+
+
+def test_config_reads_integral_numbers_and_json_booleans():
+    spec = base_spec(system={"n": 12.0, "dimension": 1, "horizon": 0.5, "frozen_positions": True})
+    spec["kinetic"]["nx"] = 64.0
+    spec["initial"]["position"]["frequency"] = 2.0
+    spec["convergence"] = {"n_values": [8.0, 16, 32.0], "trials": 4.0, "fit": False}
+    config = ExperimentConfig.from_json(spec)
+    assert (config.n, config.nx, config.trials, config.n_values) == (12, 64, 4, (8, 16, 32))
+    assert all(type(v) is int for v in (config.n, config.nx, config.trials, *config.n_values))
+    assert config.initial.positions[0].frequency == 2
+    assert config.frozen_positions is True and config.fit is False
+
+
 def test_kinetic_cache_round_trip(tmp_path):
     config = ExperimentConfig.from_json(base_spec())
     first = kinetic_solution(config, tmp_path)

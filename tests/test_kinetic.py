@@ -1,15 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw
 from topolab.kernels import Kernel, preset_kernels
 from topolab.kinetic import (
+    _DENSITY_SCHEMA,
     GridDensity,
     MassFunction,
     PhaseGrid,
     SolverInstabilityError,
     coarea_check,
-    density_from_csv,
     density_to_csv,
     edge_cdf,
     gain,
@@ -37,6 +39,27 @@ def _dense_gain_weights(
     dist = np.minimum(k, grid.nx - k) * grid.dx
     masses = mass_fn.ball_mass(np.broadcast_to(grid.x_centers[:, None], dist.shape), dist)
     return kernel(masses) * (grid.dx * quad_scale)
+
+
+def center_ball_masses(mass_fn: MassFunction) -> np.ndarray:
+    """The table M[i, k] = m(x_i, k dx), k <= nx // 2, that `gain_weights` reads by blocks of rows."""
+    outer, inner = mass_fn.center_windows()
+    return outer - inner
+
+
+def gathered_gain_weights(
+    mass_fn: MassFunction, grid: PhaseGrid, kernel: Kernel, quad_scale: float = 1.0
+) -> np.ndarray:
+    """Oracle for `gain_weights`: one gather from the whole half table through an nx^2 index."""
+    nx = grid.nx
+    half = kernel(center_ball_masses(mass_fn)) * (grid.dx * quad_scale)
+    k = np.abs(np.arange(nx)[:, None] - np.arange(nx))
+    return np.take(half, np.minimum(k, nx - k) + (nx // 2 + 1) * np.arange(nx)[:, None])
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
 
 
 def assert_matches_dense(weights: np.ndarray, dense: np.ndarray) -> None:
@@ -177,6 +200,47 @@ def test_gain_weights_match_dense_oracle(nx, preset, quad_scale):
         gain_weights(mass_fn, grid, kernel, quad_scale),
         _dense_gain_weights(mass_fn, grid, kernel, quad_scale),
     )
+
+
+def test_solve_equals_steps_with_fresh_weights():
+    # a W entry that one step of a solve leaves stale would show here
+    grid = PhaseGrid(nx=300, nv=5, v_max=1.25)  # several row blocks, the last one short
+    f0 = initial_density(law(0.4), grid)
+    for kernel in preset_kernels().values():
+        sol = solve(f0, kernel, 0.1, 0.02, snapshot_times=(0.02, 0.06, 0.1))
+        f, steps = f0, {}
+        for k in range(1, 6):
+            f = steps[k] = step(f, kernel, 0.02)
+        for k, snap in zip((1, 3, 5), sol.snapshots):
+            assert_same_bits(snap.values, steps[k].values)
+
+
+def test_steps_allocate_no_table_and_solve_keeps_none():
+    # after the first step, a step allocates nothing of nx (nx/2 + 1) or nx^2
+    # entries, and nothing that size outlives `solve`
+    nx = 512
+    table_bytes = nx * (nx // 2 + 1) * 8
+    f = initial_density(law(0.3), PhaseGrid(nx=nx, nv=5, v_max=1.25))
+    weights = np.empty((nx, nx))
+    f = step(f, Kernel.linear(), 0.01, weights)
+    tracemalloc.start()
+    try:
+        for name, kernel in preset_kernels().items():
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f = step(f, kernel, 0.01, weights)
+            grown = tracemalloc.get_traced_memory()[1] - before
+            assert grown < table_bytes, f"{name}: a step allocated {grown} bytes at once"
+        # a grid no earlier call used, so no cache for it exists yet
+        nx = 384
+        f0 = initial_density(law(0.3), PhaseGrid(nx=nx, nv=5, v_max=1.25))
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve(f0, Kernel.linear(), 0.03, 0.01, snapshot_times=(0.03,))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sol.snapshots) == 1
+    assert kept < nx * (nx // 2 + 1) * 8, f"{kept} bytes outlived solve"
 
 
 def test_coarea_flat_kernel_exact():
@@ -334,6 +398,20 @@ def test_solution_time_interpolation():
     np.testing.assert_allclose(sol.values_at(0.25), sol.snapshots[1].values)
     with pytest.raises(ValueError):
         sol.values_at(0.75)
+
+
+def density_from_csv(path) -> GridDensity:
+    """Read back a `density_to_csv` file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        schema_line = fh.readline().strip()
+        if schema_line != f"# schema={_DENSITY_SCHEMA}":
+            raise ValueError(f"unknown grid-density schema line {schema_line!r}")
+        meta = dict(
+            item.split("=") for item in fh.readline().strip().lstrip("# ").split()
+        )
+        grid = PhaseGrid(nx=int(meta["nx"]), nv=int(meta["nv"]), v_max=float(meta["v_max"]))
+        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return GridDensity(grid, values, t=float(meta["t"]))
 
 
 def test_density_csv_round_trip(tmp_path):
