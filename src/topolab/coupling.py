@@ -153,6 +153,32 @@ class UniformReference:
 Reference = SolutionReference | UniformReference
 
 
+class SnapshotTerms:
+    """The reference side of the snapshot diagnostics, computed once per snapshot time.
+
+    It stands in for the reference in `tv_estimate` and `lln_diagnostic`,
+    with the same bits: at the times it holds (and, for cell masses, on its
+    own ``edges``) from what it holds, otherwise from the reference.  Events
+    ask for ball masses at arbitrary times; nothing is kept for them.
+    """
+
+    def __init__(self, reference: Reference, times, x_edges: np.ndarray, v_edges: np.ndarray):
+        self.reference, self.edges = reference, (x_edges, v_edges)
+        self.cells = {t: reference.cell_masses(t, x_edges, v_edges) for t in times}
+        solution = isinstance(reference, SolutionReference)
+        self.mass_fns = {t: reference.mass_function(t) for t in times} if solution else {}
+
+    def cell_masses(self, t: float, x_edges: np.ndarray, v_edges: np.ndarray) -> np.ndarray:
+        if t not in self.cells or x_edges is not self.edges[0] or v_edges is not self.edges[1]:
+            return self.reference.cell_masses(t, x_edges, v_edges)
+        return self.cells[t]
+
+    def ball_masses(self, t: float, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        if t not in self.mass_fns:
+            return self.reference.ball_masses(t, center, radii)
+        return self.mass_fns[t].ball_mass(float(center[0]), radii)
+
+
 def _aggregate_cells(
     masses: np.ndarray, grid: PhaseGrid, x_edges: np.ndarray, v_edges: np.ndarray
 ) -> np.ndarray:
@@ -465,14 +491,15 @@ def run_coupled_trial(
     horizon: float,
     rng: np.random.Generator,
     snapshot_times: tuple[float, ...],
-    tv_edges: tuple[np.ndarray, np.ndarray] | None = None,
+    terms: SnapshotTerms | None = None,
     record_ranks: bool = False,
     record_z_snapshots: bool = False,
 ) -> TrialRecord:
     """One coupled trajectory from the delta coupling, sampled at snapshot times.
 
-    ``tv_edges`` holds the (x, v) histogram edges of `tv_estimate`; without
-    them the TV column is NaN.
+    ``terms`` serves both snapshot diagnostics and holds the (x, v) histogram
+    edges of `tv_estimate`; without it the TV column is NaN and
+    `lln_diagnostic` asks the reference.
     """
     ranks_cdf = rank_cdf(kernel, initial.n)
     state = CoupledState.delta(initial)
@@ -486,13 +513,13 @@ def run_coupled_trial(
         sigma_now = state.sigma.transported(s)
         if record_z_snapshots:
             z_snapshots[s] = z_now
-        tv = tv_estimate(z_now, reference, s, *tv_edges) if tv_edges is not None else float("nan")
+        tv = tv_estimate(z_now, terms, s, *terms.edges) if terms is not None else float("nan")
         rows.append(
             (
                 s,
                 state.decoupled_fraction(),
                 tv,
-                lln_diagnostic(sigma_now, reference, s),
+                lln_diagnostic(sigma_now, reference if terms is None else terms, s),
                 diag.joint,
                 diag.z_only,
                 diag.sigma_atom,

@@ -16,13 +16,15 @@ import os
 import zipfile
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import Reference, SolutionReference, TrialRecord, decoupling_bound, run_coupled_trial
-from .initial import InitialLaw, initial_law_from_json, json_value, sample_initial
+from .coupling import Reference, SnapshotTerms, SolutionReference, TrialRecord, decoupling_bound
+from .coupling import run_coupled_trial
+from .initial import InitialLaw, initial_law_from_json, json_value, sample_initial, sample_initials
 from .kernels import Kernel, rate_normalization
 from .kinetic import (
     SOLVER_VERSION,
@@ -270,45 +272,80 @@ def kinetic_solution(config: ExperimentConfig, out_dir: Path | None) -> KineticS
 _WORKER_CTX: dict = {}
 
 
-def _run_one_trial(config: ExperimentConfig, reference: Reference, n: int, trial: int) -> TrialRecord:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(n, trial)))
-    initial = sample_initial(
-        config.initial, n, np.random.SeedSequence(entropy=config.seed, spawn_key=(n, trial, 1))
-    )
-    return run_coupled_trial(
-        config.kernel,
-        reference,
-        initial,
-        config.horizon,
-        rng,
-        config.default_snapshot_times(),
-        tv_edges=(np.linspace(0.0, 1.0, config.tv_bins_x + 1), config.grid().v_edges),
-    )
+def _trial_context(config: ExperimentConfig, reference: Reference) -> tuple:
+    """What every trial of a study reads, built once per study in each process."""
+    edges = (np.linspace(0.0, 1.0, config.tv_bins_x + 1), config.grid().v_edges)
+    return config, reference, SnapshotTerms(reference, config.default_snapshot_times(), *edges)
+
+
+def _run_chunk(context: tuple, n: int, trials: range) -> list[TrialRecord]:
+    """Consecutive trials of one size, their initial positions inverted in one bisection."""
+    config, reference, terms = context
+
+    def stream(*key: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(entropy=config.seed, spawn_key=(n, *key))
+
+    initials = sample_initials(config.initial, n, [stream(trial, 1) for trial in trials])
+    rngs = [np.random.default_rng(stream(trial)) for trial in trials]
+    times = config.default_snapshot_times()
+    return [
+        run_coupled_trial(config.kernel, reference, initial, config.horizon, rng, times, terms)
+        for initial, rng in zip(initials, rngs)
+    ]
 
 
 def _worker_init(config: ExperimentConfig, reference: Reference) -> None:
-    _WORKER_CTX["config"] = config
-    _WORKER_CTX["reference"] = reference
+    _WORKER_CTX["context"] = _trial_context(config, reference)
 
 
-def _worker_run(args: tuple[int, int]) -> TrialRecord:
-    n, trial = args
-    return _run_one_trial(_WORKER_CTX["config"], _WORKER_CTX["reference"], n, trial)
+def _worker_run(job: tuple[int, range]) -> list[TrialRecord]:
+    return _run_chunk(_WORKER_CTX["context"], *job)
+
+
+class TrialPool(ExitStack):
+    """The workers and snapshot terms that the sizes of one study share, made on first use.
+
+    A job is a chunk of consecutive trials, about four per worker and size.
+    A pool forks all its workers up front, so it never has more than trials.
+    """
+
+    def __init__(self, config: ExperimentConfig, reference: Reference, threads: int):
+        super().__init__()
+        self.config, self.reference = config, reference
+        self.workers = max(1, min(threads, config.trials))
+        self.pool = self.context = None
+
+    def run(self, n: int) -> list[TrialRecord]:
+        trials = range(self.config.trials)
+        size = -(-len(trials) // (4 * self.workers))
+        jobs = [(n, trials[lo : lo + size]) for lo in trials[::size]]
+        if self.workers == 1:
+            self.context = self.context or _trial_context(self.config, self.reference)
+            done = [_run_chunk(self.context, *job) for job in jobs]
+        else:
+            if self.pool is None:
+                args = (self.config, self.reference)
+                pool = ProcessPoolExecutor(self.workers, initializer=_worker_init, initargs=args)
+                self.pool = self.enter_context(pool)
+            done = self.pool.map(_worker_run, jobs, chunksize=1)
+        return [record for records in done for record in records]
 
 
 def run_trials(
-    config: ExperimentConfig, reference: Reference, n: int, threads: int = 1
+    config: ExperimentConfig,
+    reference: Reference,
+    n: int,
+    threads: int = 1,
+    pool: TrialPool | None = None,
 ) -> list[TrialRecord]:
-    """All trials for one system size, in trial order regardless of worker count."""
-    jobs = [(n, trial) for trial in range(config.trials)]
-    # a pool forks all its workers up front, so never ask for more than there are trials
-    workers = min(threads, len(jobs))
-    if workers <= 1:
-        return [_run_one_trial(config, reference, n, trial) for _, trial in jobs]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(config, reference)
-    ) as pool:
-        return list(pool.map(_worker_run, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+    """All trials for one system size, in trial order regardless of worker count.
+
+    A study passes the `TrialPool` that all its sizes share; without one a call makes its own.
+    """
+    if pool is None:
+        with TrialPool(config, reference, threads) as pool:
+            return pool.run(n)
+    return pool.run(n)
 
 
 # -- rate fit -----------------------------------------------------------------------
@@ -491,18 +528,19 @@ def run_convergence(
     aggregate_rows: list[tuple] = []
     trial_files: list[Path] = []
     final_means: list[float] = []
-    for n in config.n_values:
-        records = run_trials(config, reference, n, threads=threads)
-        path = out_dir / f"trials_n{n}.csv"
-        write_trials_csv(path, n, records)
-        trial_files.append(path)
-        d_matrix = np.stack([rec.d_n for rec in records])
-        for k, t in enumerate(snapshot_times):
-            col = d_matrix[:, k]
-            mean = float(col.mean())
-            stderr = float(col.std(ddof=1) / np.sqrt(len(col))) if len(col) > 1 else 0.0
-            aggregate_rows.append((n, t, mean, stderr, decoupling_bound(config.kernel, n, t)))
-        final_means.append(float(d_matrix[:, -1].mean()))
+    with TrialPool(config, reference, threads) as pool:
+        for n in config.n_values:
+            records = run_trials(config, reference, n, threads, pool)
+            path = out_dir / f"trials_n{n}.csv"
+            write_trials_csv(path, n, records)
+            trial_files.append(path)
+            d_matrix = np.stack([rec.d_n for rec in records])
+            for k, t in enumerate(snapshot_times):
+                col = d_matrix[:, k]
+                mean = float(col.mean())
+                stderr = float(col.std(ddof=1) / np.sqrt(len(col))) if len(col) > 1 else 0.0
+                aggregate_rows.append((n, t, mean, stderr, decoupling_bound(config.kernel, n, t)))
+            final_means.append(float(d_matrix[:, -1].mean()))
 
     aggregate_file = out_dir / "aggregate.csv"
     write_aggregate_csv(aggregate_file, aggregate_rows)
@@ -546,6 +584,6 @@ def run_single_coupled(config: ExperimentConfig, out_dir: Path) -> TrialRecord:
     solution = kinetic_solution(config, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reference = SolutionReference(solution, config.kernel)
-    record = _run_one_trial(config, reference, config.n, 0)
+    record = _run_chunk(_trial_context(config, reference), config.n, range(1))[0]
     write_trials_csv(out_dir / f"trials_n{config.n}.csv", config.n, [record])
     return record

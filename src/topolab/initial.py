@@ -93,11 +93,14 @@ class PositionLaw:
         raise InitialLawError(f"unknown position law {self.form!r}")
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(size)
+        return self.invert(rng.random(size))
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """The points whose CDF is u, by elementwise bisection: any batch keeps each entry's bits."""
         if self.form == "uniform":
             return u
-        lo = np.zeros(size)
-        hi = np.ones(size)
+        lo = np.zeros(u.shape)
+        hi = np.ones(u.shape)
         for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             below = self.cdf(mid) < u
@@ -179,15 +182,27 @@ class InitialLaw:
     def d(self) -> int:
         return self.velocity.d
 
-    def sample(self, n: int, rng: np.random.Generator) -> Configuration:
-        pos = np.column_stack([law.sample(n, rng) for law in self.positions])
-        vel = self.velocity.sample(n, rng)
-        return Configuration(pos, vel)
-
 
 def sample_initial(law: InitialLaw, n: int, seed_or_rng) -> Configuration:
     """Draw n i.i.d. particles; deterministic given the seed."""
-    return law.sample(n, np.random.default_rng(seed_or_rng))
+    return sample_initials(law, n, [seed_or_rng])[0]
+
+
+def sample_initials(law: InitialLaw, n: int, seeds) -> list[Configuration]:
+    """`sample_initial` for each seed, with one inversion per axis for all of them.
+
+    Each seed's generator draws its uniforms, axis by axis, then its
+    velocities; the positions are the bits of a draw of its own.
+    """
+    draws = [
+        ([rng.random(n) for _ in law.positions], law.velocity.sample(n, rng))
+        for rng in map(np.random.default_rng, seeds)
+    ]
+    axes = [p.invert(np.concatenate([u[a] for u, _ in draws])) for a, p in enumerate(law.positions)]
+    return [
+        Configuration(np.column_stack([x[k * n : (k + 1) * n] for x in axes]), vel)
+        for k, (_, vel) in enumerate(draws)
+    ]
 
 
 def json_value(value, kind: type, name: str):

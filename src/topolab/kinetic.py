@@ -360,9 +360,9 @@ def solve(
         current.t = k * dt
         drift += current.renorm_drift
         current.check()
-        if k in wanted:
+        if k in wanted:  # stored at the requested time; the march keeps k * dt
             times.append(wanted[k])
-            snaps.append(current.copy())
+            snaps.append(GridDensity(f0.grid, current.values.copy(), wanted[k], current.renorm_drift))
     if not snaps:
         times.append(current.t)
         snaps.append(current.copy())

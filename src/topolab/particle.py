@@ -273,8 +273,14 @@ def empirical_marginal(
     v = config.velocities[:, 0]
     if np.any(v < v_edges[0]) or np.any(v > v_edges[-1]):
         raise ValueError("velocities fall outside the histogram range")
-    hist, _, _ = np.histogram2d(config.positions[:, 0], v, bins=[x_edges, v_edges])
-    return hist / config.n
+    # np.histogram2d's bins: open on the right but the last, and an outlier bin on each side
+    shape = (len(x_edges) + 1, len(v_edges) + 1)
+    ix, iv = (
+        np.searchsorted(edges, a, side="right") - (a == edges[-1])
+        for edges, a in ((x_edges, config.positions[:, 0]), (v_edges, v))
+    )
+    hist = np.bincount(ix * shape[1] + iv, minlength=shape[0] * shape[1]).reshape(shape)
+    return hist[1:-1, 1:-1] / config.n
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

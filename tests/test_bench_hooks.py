@@ -10,7 +10,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from topolab import experiments
+from topolab import coupling, experiments, ranks
 from topolab.coupling import TrialRecord
 from topolab.particle import Trajectory
 
@@ -44,3 +44,56 @@ def test_labelled_calls_keep_their_leading_parameters():
     fields = {f.name for f in dataclasses.fields(TrialRecord)}
     assert {"event_count", "joint", "z_only", "sigma_only", "fresh"} <= fields
     assert "event_count" in {f.name for f in dataclasses.fields(Trajectory)}
+
+
+def test_a_study_makes_the_calls_that_the_benchmark_times(tmp_path, monkeypatch):
+    # each call is logged with the index of the call it ran inside, as bench/spans.py nests spans
+    calls: list[tuple[str, int]] = []
+    open_calls: list[int] = []
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append((attr, open_calls[-1] if open_calls else -1))
+            open_calls.append(len(calls) - 1)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                open_calls.pop()
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    for owner, attr in (
+        (experiments, "run_trials"),
+        (experiments, "run_coupled_trial"),
+        (coupling, "coupled_event"),
+        (coupling, "tv_estimate"),
+        (coupling, "lln_diagnostic"),
+        (ranks.Configuration, "transported"),
+    ):
+        count(owner, attr)
+    spec = {
+        "version": 1,
+        "seed": 5,
+        "kernel": {"form": "linear"},
+        "initial": {
+            "position": {"form": "cosine", "amplitude": 0.3},
+            "velocity": {"form": "two_point", "speed": 1.0},
+        },
+        "kinetic": {"nx": 64, "nv": 5, "v_max": 1.25, "dt": 0.01, "snapshot_spacing": 0.02},
+        "system": {"n": 8, "dimension": 1, "horizon": 0.5},
+        "snapshot_times": [0.125, 0.25, 0.5],
+        "convergence": {"n_values": [8, 16], "trials": 3, "fit": False},
+    }
+    experiments.run_convergence(experiments.ExperimentConfig.from_json(spec), tmp_path, threads=1)
+
+    batches = [k for k, (name, _) in enumerate(calls) if name == "run_trials"]
+    assert len(batches) == 2  # one per size
+    for batch in batches:
+        trials = [k for k, (name, parent) in enumerate(calls) if parent == batch]
+        assert [calls[k][0] for k in trials] == ["run_coupled_trial"] * 3  # one per trial
+        for trial in trials:
+            snapshot_calls = [name for name, parent in calls if parent == trial and name != "coupled_event"]
+            assert snapshot_calls == ["transported", "transported", "tv_estimate", "lln_diagnostic"] * 3
+    assert sum(name == "run_coupled_trial" for name, _ in calls) == 6

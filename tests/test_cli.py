@@ -43,6 +43,22 @@ def test_kinetic_density_matches_golden_file(tmp_path):
     assert (out / "density_t1.csv").read_bytes() == expected
 
 
+def test_kinetic_writes_the_same_files_from_a_cache_hit(tmp_path):
+    # the golden config's snapshot times include 0.7, 0.82 and 0.94, where k * dt is not
+    # the requested time; the header must give the requested one on a cold solve and a hit
+    out = tmp_path / "out"
+    config = str(DATA / "golden_config.json")
+    assert main(["kinetic", "--config", config, "--out", str(out)]) == EXIT_OK
+    cold = {p.name: p.read_bytes() for p in out.glob("density_t*.csv")}
+    assert main(["kinetic", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.glob("density_t*.csv")} == cold
+    assert {"density_t0.7.csv", "density_t0.82.csv", "density_t0.94.csv"} <= set(cold)
+    for name, text in cold.items():
+        requested = name[len("density_t") : -len(".csv")]
+        header = text.decode().splitlines()[1]
+        assert float(header.split("t=")[1]) == float(requested), header
+
+
 def test_convergence_then_report(tmp_path):
     config = write_config(tmp_path, small_spec())
     out = tmp_path / "out"

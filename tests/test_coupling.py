@@ -7,6 +7,7 @@ from topolab.coupling import (
     _RESIDUAL_TOL,
     CoupledState,
     CouplingDiagnostics,
+    SnapshotTerms,
     SolutionReference,
     UniformReference,
     _aggregate_cells,
@@ -458,3 +459,56 @@ def test_z_marginal_matches_standalone_rank_frequencies():
     keep = (a + b) > 0  # the top rank has kernel weight exactly 0
     res = stats.chi2_contingency(np.stack([a[keep], b[keep]]))
     assert res.pvalue > 0.01
+
+
+def test_snapshot_terms_equal_the_references_own():
+    reference = kinetic_reference(Kernel.linear(), horizon=0.5, nx=64, amplitude=0.3)
+    x_edges, v_edges = np.linspace(0.0, 1.0, 9), reference.grid.v_edges
+    times = (0.125, 0.25, 0.375, 0.5)  # two on stored kinetic times, two between them
+    terms = SnapshotTerms(reference, times, x_edges, v_edges)
+    center, radii = np.array([0.3]), np.linspace(0.0, 0.6, 13)
+    for t in times:
+        cells = reference.cell_masses(t, x_edges, v_edges)
+        assert terms.cells[t].tobytes() == cells.tobytes()
+        assert terms.cell_masses(t, x_edges, v_edges) is terms.cells[t]
+        assert terms.mass_fns[t].edge_cdf.tobytes() == reference.mass_function(t).edge_cdf.tobytes()
+        assert terms.ball_masses(t, center, radii).tobytes() == (
+            reference.ball_masses(t, center, radii).tobytes()
+        )
+    # no other time or histogram is held: those come from the reference itself
+    assert 0.3 not in terms.mass_fns and 0.3 not in terms.cells
+    coarse = np.linspace(0.0, 1.0, 5)
+    assert terms.cell_masses(0.25, coarse, v_edges).tobytes() == (
+        reference.cell_masses(0.25, coarse, v_edges).tobytes()
+    )
+    assert terms.ball_masses(0.3, center, radii).tobytes() == (
+        reference.ball_masses(0.3, center, radii).tobytes()
+    )
+    uniform = UniformReference(VelocityLaw.two_point())
+    plain = SnapshotTerms(uniform, times, x_edges, V_EDGES)
+    assert plain.cell_masses(0.25, x_edges, V_EDGES).tobytes() == (
+        uniform.cell_masses(0.25, x_edges, V_EDGES).tobytes()
+    )
+    assert plain.ball_masses(0.25, center, radii).tobytes() == (
+        uniform.ball_masses(0.25, center, radii).tobytes()
+    )
+
+
+def test_trial_diagnostics_from_snapshot_terms_equal_the_references():
+    # tv_estimate and lln_diagnostic on the trial's own snapshots, recomputed from the reference
+    kernel = Kernel.linear()
+    reference = kinetic_reference(kernel, horizon=0.5, nx=64, amplitude=0.3)
+    x_edges, v_edges = np.linspace(0.0, 1.0, 9), reference.grid.v_edges
+    times = (0.125, 0.25, 0.5)
+    law = InitialLaw((PositionLaw.cosine(0.3),), VelocityLaw.two_point())
+    rec = run_coupled_trial(
+        kernel, reference, sample_initial(law, 48, 3), 0.5, np.random.default_rng(3), times,
+        SnapshotTerms(reference, times, x_edges, v_edges), record_z_snapshots=True,
+    )
+    for k, t in enumerate(times):
+        assert rec.tv[k] == tv_estimate(rec.z_snapshots[t], reference, t, x_edges, v_edges)
+    plain = run_coupled_trial(
+        kernel, reference, sample_initial(law, 48, 3), 0.5, np.random.default_rng(3), times
+    )
+    assert rec.lln.tobytes() == plain.lln.tobytes()
+    assert np.all(np.isnan(plain.tv))

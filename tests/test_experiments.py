@@ -444,3 +444,34 @@ def test_snapshot_rows_match_the_per_particle_format(tmp_path):
             vals = list(snaps[t].positions[p]) + list(snaps[t].velocities[p])
             expected.append(f"{fmt(t)},{p}," + ",".join(fmt(v) for v in vals))
     assert (tmp_path / "s.csv").read_text().split("\n") == expected + [""]
+
+
+def test_a_study_starts_one_pool_for_all_sizes(tmp_path, monkeypatch):
+    started = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    spec = base_spec(convergence={"n_values": [8, 16, 32], "trials": 5, "fit": False})
+    run_convergence(ExperimentConfig.from_json(spec), tmp_path / "two", threads=2)
+    assert started == [2]
+    spec = base_spec(convergence={"n_values": [8, 16, 32], "trials": 2, "fit": False})
+    run_convergence(ExperimentConfig.from_json(spec), tmp_path / "three", threads=3)
+    assert started == [2, 2]
+
+
+def test_study_files_are_equal_for_one_two_and_three_workers(tmp_path):
+    # 13 trials make chunks of 4, 2 and 2 trials, so chunks differ in size and split differently
+    spec = base_spec(convergence={"n_values": [8, 16, 32, 64], "trials": 13, "fit": True})
+    config = ExperimentConfig.from_json(spec)
+    for threads in (1, 2, 3):
+        run_convergence(config, tmp_path / str(threads), threads=threads)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.is_file())
+    assert names == ["aggregate.csv", "ratefit.json", *(f"trials_n{n}.csv" for n in (16, 32, 64, 8))]
+    for name in names:
+        one = (tmp_path / "1" / name).read_bytes()
+        assert (tmp_path / "2" / name).read_bytes() == one
+        assert (tmp_path / "3" / name).read_bytes() == one

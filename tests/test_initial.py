@@ -9,6 +9,7 @@ from topolab.initial import (
     VelocityLaw,
     initial_law_from_json,
     sample_initial,
+    sample_initials,
 )
 
 
@@ -123,3 +124,38 @@ def test_json_round_trip():
 def test_mismatched_dimensions_rejected():
     with pytest.raises(InitialLawError):
         InitialLaw((PositionLaw.uniform(),), VelocityLaw.four_point())
+
+
+def drawn_one_by_one(law: InitialLaw, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's own draw: each axis's uniforms and inversion, then the velocities."""
+    rng = np.random.default_rng(seed)
+    positions = np.column_stack([p.sample(n, rng) for p in law.positions])
+    return positions, law.velocity.sample(n, rng)
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        (PositionLaw.uniform(),),
+        (PositionLaw.cosine(0.3),),
+        (PositionLaw.cosine(0.6, frequency=3),),
+        (PositionLaw.two_mode(0.25, 0.15),),
+        (PositionLaw.bump(),),
+        (PositionLaw.cosine(0.3), PositionLaw.cosine(0.6, frequency=3)),
+        (PositionLaw.two_mode(0.25, 0.15), PositionLaw.bump()),
+        (PositionLaw.uniform(), PositionLaw.cosine(0.3)),
+    ],
+    ids=lambda laws: "+".join(p.form + str(p.frequency) for p in laws),
+)
+def test_batched_inversion_equals_each_trials_own_draw(positions):
+    velocity = VelocityLaw.two_point() if len(positions) == 1 else VelocityLaw.four_point()
+    law = InitialLaw(positions, velocity)
+    for n, chunk in ((2, 13), (3, 1), (7, 12), (64, 10), (100, 4), (511, 3), (4096, 2), (4097, 1)):
+        seeds = [np.random.SeedSequence(entropy=99, spawn_key=(n, trial, 1)) for trial in range(chunk)]
+        for seed, config in zip(seeds, sample_initials(law, n, seeds)):
+            positions_alone, velocities_alone = drawn_one_by_one(law, n, seed)
+            assert config.positions.tobytes() == positions_alone.tobytes()
+            assert config.velocities.tobytes() == velocities_alone.tobytes()
+        assert sample_initial(law, n, seeds[0]).positions.tobytes() == (
+            drawn_one_by_one(law, n, seeds[0])[0].tobytes()
+        )

@@ -298,3 +298,11 @@ def test_empirical_marginal_masses():
     assert masses[1, 1] == pytest.approx(1 / 3)  # x=0.9, v=1
     with pytest.raises(ValueError):
         empirical_marginal(config, x_edges, np.array([-0.5, 0.5]))
+
+
+def test_empirical_marginal_closes_only_the_last_bin():
+    x_edges = np.array([0.0, 0.25, 0.5])
+    v_edges = np.array([-1.0, 0.0, 1.0])
+    config = Configuration(np.array([0.25, 0.5, 0.5, 0.75]), np.array([0.0, 1.0, -1.0, 1.0]))
+    # x = 0.25 opens the second bin, x = 0.5 (the last edge) closes it, x = 0.75 drops out
+    assert empirical_marginal(config, x_edges, v_edges).tolist() == [[0.0, 0.0], [0.25, 0.5]]
