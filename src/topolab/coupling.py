@@ -73,7 +73,8 @@ class SolutionReference:
     snapshots are precomputed once.  The ball mass of one pair (`ball_mass`)
     then interpolates only the few edge-CDF entries it reads, in Python
     floats; a whole row of radii (`ball_masses`) interpolates all nx + 1
-    entries once.  Both give the same bits.
+    entries once.  Both give the same bits.  Histogram cell masses are kept,
+    read-only, per time and edges: only `tv_estimate` asks, at snapshot times.
     """
 
     def __init__(self, solution: KineticSolution, kernel: Kernel):
@@ -84,6 +85,7 @@ class SolutionReference:
             [edge_cdf(snap.density(), self.grid.dx) for snap in solution.snapshots]
         )
         self._edge_lists = self._edge_cdfs.tolist()
+        self._cells: dict[tuple, np.ndarray] = {}
 
     def mass_function(self, t: float) -> MassFunction:
         lo, hi, w = self.solution.bracket(t)
@@ -113,8 +115,12 @@ class SolutionReference:
 
     def cell_masses(self, t: float, x_edges: np.ndarray, v_edges: np.ndarray) -> np.ndarray:
         """Reference cell masses on a coarse histogram grid aligned with the solver grid."""
-        masses = self.solution.values_at(t) * (self.grid.dx * self.grid.dv)
-        return _aggregate_cells(masses, self.grid, x_edges, v_edges)
+        key = (t, x_edges.tobytes(), v_edges.tobytes())
+        if key not in self._cells:
+            masses = self.solution.values_at(t) * (self.grid.dx * self.grid.dv)
+            self._cells[key] = _aggregate_cells(masses, self.grid, x_edges, v_edges)
+            self._cells[key].flags.writeable = False
+        return self._cells[key]
 
 
 class UniformReference:
@@ -151,32 +157,6 @@ class UniformReference:
 
 
 Reference = SolutionReference | UniformReference
-
-
-class SnapshotTerms:
-    """The reference side of the snapshot diagnostics, computed once per snapshot time.
-
-    It stands in for the reference in `tv_estimate` and `lln_diagnostic`,
-    with the same bits: at the times it holds (and, for cell masses, on its
-    own ``edges``) from what it holds, otherwise from the reference.  Events
-    ask for ball masses at arbitrary times; nothing is kept for them.
-    """
-
-    def __init__(self, reference: Reference, times, x_edges: np.ndarray, v_edges: np.ndarray):
-        self.reference, self.edges = reference, (x_edges, v_edges)
-        self.cells = {t: reference.cell_masses(t, x_edges, v_edges) for t in times}
-        solution = isinstance(reference, SolutionReference)
-        self.mass_fns = {t: reference.mass_function(t) for t in times} if solution else {}
-
-    def cell_masses(self, t: float, x_edges: np.ndarray, v_edges: np.ndarray) -> np.ndarray:
-        if t not in self.cells or x_edges is not self.edges[0] or v_edges is not self.edges[1]:
-            return self.reference.cell_masses(t, x_edges, v_edges)
-        return self.cells[t]
-
-    def ball_masses(self, t: float, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        if t not in self.mass_fns:
-            return self.reference.ball_masses(t, center, radii)
-        return self.mass_fns[t].ball_mass(float(center[0]), radii)
 
 
 def _aggregate_cells(
@@ -491,15 +471,14 @@ def run_coupled_trial(
     horizon: float,
     rng: np.random.Generator,
     snapshot_times: tuple[float, ...],
-    terms: SnapshotTerms | None = None,
+    tv_edges: tuple[np.ndarray, np.ndarray] | None = None,
     record_ranks: bool = False,
     record_z_snapshots: bool = False,
 ) -> TrialRecord:
     """One coupled trajectory from the delta coupling, sampled at snapshot times.
 
-    ``terms`` serves both snapshot diagnostics and holds the (x, v) histogram
-    edges of `tv_estimate`; without it the TV column is NaN and
-    `lln_diagnostic` asks the reference.
+    ``tv_edges`` holds the (x, v) histogram edges of `tv_estimate`; without
+    them the TV column is NaN.
     """
     ranks_cdf = rank_cdf(kernel, initial.n)
     state = CoupledState.delta(initial)
@@ -513,13 +492,13 @@ def run_coupled_trial(
         sigma_now = state.sigma.transported(s)
         if record_z_snapshots:
             z_snapshots[s] = z_now
-        tv = tv_estimate(z_now, terms, s, *terms.edges) if terms is not None else float("nan")
+        tv = tv_estimate(z_now, reference, s, *tv_edges) if tv_edges is not None else float("nan")
         rows.append(
             (
                 s,
                 state.decoupled_fraction(),
                 tv,
-                lln_diagnostic(sigma_now, reference if terms is None else terms, s),
+                lln_diagnostic(sigma_now, reference, s),
                 diag.joint,
                 diag.z_only,
                 diag.sigma_atom,

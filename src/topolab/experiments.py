@@ -16,15 +16,16 @@ import os
 import zipfile
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import Reference, SnapshotTerms, SolutionReference, TrialRecord, decoupling_bound
+from .coupling import Reference, SolutionReference, TrialRecord, decoupling_bound
 from .coupling import run_coupled_trial
-from .initial import InitialLaw, initial_law_from_json, json_value, sample_initial, sample_initials
+from .initial import InitialLaw, initial_law_from_json, json_floats, json_value
+from .initial import sample_initial, sample_initials
 from .kernels import Kernel, rate_normalization
 from .kinetic import (
     SOLVER_VERSION,
@@ -112,16 +113,18 @@ class ExperimentConfig:
                 initial_spec=initial_spec,
                 nx=json_value(kin.get("nx", 512), int, "kinetic.nx"),
                 nv=json_value(kin.get("nv", 5), int, "kinetic.nv"),
-                v_max=float(kin.get("v_max", 1.25)),
-                dt=float(kin.get("dt", 0.01)),
-                snapshot_spacing=float(kin.get("snapshot_spacing", 0.02)),
+                v_max=json_value(kin.get("v_max", 1.25), float, "kinetic.v_max"),
+                dt=json_value(kin.get("dt", 0.01), float, "kinetic.dt"),
+                snapshot_spacing=json_value(
+                    kin.get("snapshot_spacing", 0.02), float, "kinetic.snapshot_spacing"
+                ),
                 n=json_value(system.get("n", 64), int, "system.n"),
                 dimension=json_value(system.get("dimension", 1), int, "system.dimension"),
-                horizon=float(system.get("horizon", 1.0)),
+                horizon=json_value(system.get("horizon", 1.0), float, "system.horizon"),
                 frozen_positions=json_value(
                     system.get("frozen_positions", False), bool, "frozen_positions"
                 ),
-                snapshot_times=tuple(float(t) for t in spec.get("snapshot_times", [])),
+                snapshot_times=tuple(json_floats(spec.get("snapshot_times", []), "snapshot_times")),
                 tv_bins_x=json_value(coupling.get("tv_bins_x", 8), int, "tv_bins_x"),
                 n_values=tuple(json_value(v, int, "n_values") for v in conv.get("n_values", [])),
                 trials=json_value(conv.get("trials", 1), int, "trials"),
@@ -156,6 +159,9 @@ class ExperimentConfig:
                 raise ConfigError("n_values must be strictly increasing and >= 2")
             if self.fit and len(self.n_values) < 4:
                 raise ConfigError(f"convergence.fit needs at least 4 n_values, got {self.n_values}")
+            if self.fit and self.kernel.lipschitz == 0.0:
+                # with a constant kernel pi_n = pi_rho at every pair: every event is joint, d_n is 0
+                raise ConfigError("convergence.fit needs a kernel that is not constant")
         for n in (self.n, *self.n_values):
             rate_normalization(self.kernel, n)
         if not 0.0 < self.snapshot_spacing <= 10 * self.dt + 1e-12:
@@ -272,15 +278,10 @@ def kinetic_solution(config: ExperimentConfig, out_dir: Path | None) -> KineticS
 _WORKER_CTX: dict = {}
 
 
-def _trial_context(config: ExperimentConfig, reference: Reference) -> tuple:
-    """What every trial of a study reads, built once per study in each process."""
-    edges = (np.linspace(0.0, 1.0, config.tv_bins_x + 1), config.grid().v_edges)
-    return config, reference, SnapshotTerms(reference, config.default_snapshot_times(), *edges)
-
-
-def _run_chunk(context: tuple, n: int, trials: range) -> list[TrialRecord]:
+def _run_chunk(
+    config: ExperimentConfig, reference: Reference, n: int, trials: range
+) -> list[TrialRecord]:
     """Consecutive trials of one size, their initial positions inverted in one bisection."""
-    config, reference, terms = context
 
     def stream(*key: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(entropy=config.seed, spawn_key=(n, *key))
@@ -288,47 +289,27 @@ def _run_chunk(context: tuple, n: int, trials: range) -> list[TrialRecord]:
     initials = sample_initials(config.initial, n, [stream(trial, 1) for trial in trials])
     rngs = [np.random.default_rng(stream(trial)) for trial in trials]
     times = config.default_snapshot_times()
+    edges = (np.linspace(0.0, 1.0, config.tv_bins_x + 1), config.grid().v_edges)
     return [
-        run_coupled_trial(config.kernel, reference, initial, config.horizon, rng, times, terms)
+        run_coupled_trial(config.kernel, reference, initial, config.horizon, rng, times, edges)
         for initial, rng in zip(initials, rngs)
     ]
 
 
 def _worker_init(config: ExperimentConfig, reference: Reference) -> None:
-    _WORKER_CTX["context"] = _trial_context(config, reference)
+    _WORKER_CTX["context"] = (config, reference)
 
 
 def _worker_run(job: tuple[int, range]) -> list[TrialRecord]:
-    return _run_chunk(_WORKER_CTX["context"], *job)
+    return _run_chunk(*_WORKER_CTX["context"], *job)
 
 
-class TrialPool(ExitStack):
-    """The workers and snapshot terms that the sizes of one study share, made on first use.
-
-    A job is a chunk of consecutive trials, about four per worker and size.
-    A pool forks all its workers up front, so it never has more than trials.
-    """
-
-    def __init__(self, config: ExperimentConfig, reference: Reference, threads: int):
-        super().__init__()
-        self.config, self.reference = config, reference
-        self.workers = max(1, min(threads, config.trials))
-        self.pool = self.context = None
-
-    def run(self, n: int) -> list[TrialRecord]:
-        trials = range(self.config.trials)
-        size = -(-len(trials) // (4 * self.workers))
-        jobs = [(n, trials[lo : lo + size]) for lo in trials[::size]]
-        if self.workers == 1:
-            self.context = self.context or _trial_context(self.config, self.reference)
-            done = [_run_chunk(self.context, *job) for job in jobs]
-        else:
-            if self.pool is None:
-                args = (self.config, self.reference)
-                pool = ProcessPoolExecutor(self.workers, initializer=_worker_init, initargs=args)
-                self.pool = self.enter_context(pool)
-            done = self.pool.map(_worker_run, jobs, chunksize=1)
-        return [record for records in done for record in records]
+def _pool(config: ExperimentConfig, reference: Reference, threads: int):
+    """Worker processes for a study's trials, forked on the first job; None for one worker."""
+    workers = min(threads, config.trials)
+    if workers < 2:
+        return None
+    return ProcessPoolExecutor(workers, initializer=_worker_init, initargs=(config, reference))
 
 
 def run_trials(
@@ -336,16 +317,25 @@ def run_trials(
     reference: Reference,
     n: int,
     threads: int = 1,
-    pool: TrialPool | None = None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> list[TrialRecord]:
     """All trials for one system size, in trial order regardless of worker count.
 
-    A study passes the `TrialPool` that all its sizes share; without one a call makes its own.
+    A job is a chunk of consecutive trials, about four per worker.  A study
+    passes the `_pool` that all its sizes share; without one, a call with
+    more than one worker makes its own.
     """
-    if pool is None:
-        with TrialPool(config, reference, threads) as pool:
-            return pool.run(n)
-    return pool.run(n)
+    trials = range(config.trials)
+    workers = max(1, min(threads, len(trials)))
+    size = -(-len(trials) // (4 * workers))
+    chunks = [trials[lo : lo + size] for lo in trials[::size]]
+    if workers == 1:
+        done = [_run_chunk(config, reference, n, chunk) for chunk in chunks]
+    else:
+        own = nullcontext(pool) if pool is not None else _pool(config, reference, threads)
+        with own as executor:
+            done = list(executor.map(_worker_run, [(n, chunk) for chunk in chunks], chunksize=1))
+    return [record for records in done for record in records]
 
 
 # -- rate fit -----------------------------------------------------------------------
@@ -528,7 +518,8 @@ def run_convergence(
     aggregate_rows: list[tuple] = []
     trial_files: list[Path] = []
     final_means: list[float] = []
-    with TrialPool(config, reference, threads) as pool:
+    pool = _pool(config, reference, threads)
+    with pool or nullcontext():
         for n in config.n_values:
             records = run_trials(config, reference, n, threads, pool)
             path = out_dir / f"trials_n{n}.csv"
@@ -584,6 +575,6 @@ def run_single_coupled(config: ExperimentConfig, out_dir: Path) -> TrialRecord:
     solution = kinetic_solution(config, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reference = SolutionReference(solution, config.kernel)
-    record = _run_chunk(_trial_context(config, reference), config.n, range(1))[0]
+    record = _run_chunk(config, reference, config.n, range(1))[0]
     write_trials_csv(out_dir / f"trials_n{config.n}.csv", config.n, [record])
     return record

@@ -206,11 +206,19 @@ def sample_initials(law: InitialLaw, n: int, seeds) -> list[Configuration]:
 
 
 def json_value(value, kind: type, name: str):
-    """A JSON bool (true or false only) or int (an integral number, not a bool: 12.0 is 12)."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float)) or value % 1:
-        wanted = "true or false" if kind is bool else "an integer"
+    """A JSON bool (true or false only), int (integral number: 12.0 is 12) or float (any number)."""
+    wrong_type = isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float))
+    if wrong_type or (kind is int and value % 1):
+        wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
     return kind(value)
+
+
+def json_floats(values, name: str):
+    """`json_value` of kind float for a number, or for each number in nested lists of them."""
+    if isinstance(values, list):
+        return [json_floats(v, name) for v in values]
+    return json_value(values, float, name)
 
 
 def _law_spec(spec: dict, name: str) -> dict:
@@ -225,9 +233,10 @@ def position_law_from_json(spec: dict) -> PositionLaw:
         return PositionLaw.uniform()
     if form == "cosine":
         frequency = json_value(spec.get("frequency", 1), int, "initial.position.frequency")
-        return PositionLaw.cosine(float(spec["amplitude"]), frequency)
+        return PositionLaw.cosine(json_value(spec["amplitude"], float, "amplitude"), frequency)
     if form == "two_mode":
-        return PositionLaw.two_mode(float(spec["amplitude"]), float(spec["amplitude2"]))
+        amplitudes = (json_value(spec[key], float, key) for key in ("amplitude", "amplitude2"))
+        return PositionLaw.two_mode(*amplitudes)
     if form == "bump":
         return PositionLaw.bump()
     raise InitialLawError(f"unknown position law {form!r}")
@@ -236,11 +245,11 @@ def position_law_from_json(spec: dict) -> PositionLaw:
 def velocity_law_from_json(spec: dict) -> VelocityLaw:
     form = _law_spec(spec, "initial.velocity").get("form")
     if form == "two_point":
-        return VelocityLaw.two_point(float(spec.get("speed", 1.0)))
+        return VelocityLaw.two_point(json_value(spec.get("speed", 1.0), float, "speed"))
     if form == "four_point":
-        return VelocityLaw.four_point(float(spec.get("speed", 1.0)))
+        return VelocityLaw.four_point(json_value(spec.get("speed", 1.0), float, "speed"))
     if form == "discrete":
-        return VelocityLaw.discrete(spec["atoms"], spec["weights"])
+        return VelocityLaw.discrete(*(json_floats(spec[key], key) for key in ("atoms", "weights")))
     raise InitialLawError(f"unknown velocity law {form!r}")
 
 

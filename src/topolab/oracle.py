@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import torus
-from .coupling import CoupledState, CouplingDiagnostics, UniformReference, coupled_event, lln_diagnostic
+from .coupling import CoupledState, CouplingDiagnostics, SolutionReference, UniformReference
+from .coupling import coupled_event, lln_diagnostic
 from .initial import InitialLaw, PositionLaw, VelocityLaw
 from .kernels import Kernel, preset_kernels, rate_normalization, riemann_error
 from .kinetic import PhaseGrid, coarea_check, initial_density, l1_distance, solve
@@ -207,20 +208,12 @@ def check_quantile_lln() -> OracleResult:
     law = PositionLaw.cosine(0.3)
     n = 2 * nx + 1
     u = (np.arange(n - 1) + 0.5) / (n - 1)
-    lo, hi = np.zeros(n - 1), np.ones(n - 1)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = law.cdf(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    positions = np.concatenate([[0.37], 0.5 * (lo + hi)])
+    positions = np.concatenate([[0.37], law.invert(u)])
     config = Configuration(positions, np.zeros(n))
 
     ilaw = InitialLaw((law,), VelocityLaw.two_point())
     grid = PhaseGrid(nx=nx, nv=5, v_max=1.25)
     sol = solve(initial_density(ilaw, grid), Kernel.linear(), 0.0, 0.01, snapshot_times=(0.0,))
-    from .coupling import SolutionReference
-
     ref = SolutionReference(sol, Kernel.linear())
     value = lln_diagnostic(config, ref, 0.0)
     return OracleResult("quantile-lln-diagnostic", value <= 1.0 / nx, f"gap {value:.2e} vs dx {1.0 / nx:.2e}")

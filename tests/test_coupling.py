@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from topolab import torus
+from topolab import coupling, torus
 from topolab.coupling import (
     _RESIDUAL_TOL,
     CoupledState,
     CouplingDiagnostics,
-    SnapshotTerms,
     SolutionReference,
     UniformReference,
     _aggregate_cells,
@@ -461,52 +460,53 @@ def test_z_marginal_matches_standalone_rank_frequencies():
     assert res.pvalue > 0.01
 
 
-def test_snapshot_terms_equal_the_references_own():
+def test_cell_masses_are_kept_per_time_and_edges():
     reference = kinetic_reference(Kernel.linear(), horizon=0.5, nx=64, amplitude=0.3)
-    x_edges, v_edges = np.linspace(0.0, 1.0, 9), reference.grid.v_edges
-    times = (0.125, 0.25, 0.375, 0.5)  # two on stored kinetic times, two between them
-    terms = SnapshotTerms(reference, times, x_edges, v_edges)
-    center, radii = np.array([0.3]), np.linspace(0.0, 0.6, 13)
+    grid = reference.grid
+    x_edges, v_edges = np.linspace(0.0, 1.0, 9), grid.v_edges
+    times = (0.125, 0.3, 0.375, 0.5)  # two on stored kinetic times, two between them
     for t in times:
         cells = reference.cell_masses(t, x_edges, v_edges)
-        assert terms.cells[t].tobytes() == cells.tobytes()
-        assert terms.cell_masses(t, x_edges, v_edges) is terms.cells[t]
-        assert terms.mass_fns[t].edge_cdf.tobytes() == reference.mass_function(t).edge_cdf.tobytes()
-        assert terms.ball_masses(t, center, radii).tobytes() == (
-            reference.ball_masses(t, center, radii).tobytes()
-        )
-    # no other time or histogram is held: those come from the reference itself
-    assert 0.3 not in terms.mass_fns and 0.3 not in terms.cells
-    coarse = np.linspace(0.0, 1.0, 5)
-    assert terms.cell_masses(0.25, coarse, v_edges).tobytes() == (
-        reference.cell_masses(0.25, coarse, v_edges).tobytes()
-    )
-    assert terms.ball_masses(0.3, center, radii).tobytes() == (
-        reference.ball_masses(0.3, center, radii).tobytes()
-    )
-    uniform = UniformReference(VelocityLaw.two_point())
-    plain = SnapshotTerms(uniform, times, x_edges, V_EDGES)
-    assert plain.cell_masses(0.25, x_edges, V_EDGES).tobytes() == (
-        uniform.cell_masses(0.25, x_edges, V_EDGES).tobytes()
-    )
-    assert plain.ball_masses(0.25, center, radii).tobytes() == (
-        uniform.ball_masses(0.25, center, radii).tobytes()
-    )
+        masses = reference.solution.values_at(t) * (grid.dx * grid.dv)
+        assert cells.tobytes() == _aggregate_cells(masses, grid, x_edges, v_edges).tobytes()
+        assert not cells.flags.writeable
+        # fresh arrays of equal edges, as another chunk of trials builds them, hit the store
+        assert reference.cell_masses(t, x_edges.copy(), v_edges.copy()) is cells
+    # other edges give their own entry; a bad one is still rejected
+    coarse = reference.cell_masses(0.3, np.linspace(0.0, 1.0, 5), v_edges)
+    assert coarse.shape == (4, grid.nv)
+    assert coarse is not reference.cell_masses(0.3, x_edges, v_edges)
+    assert len(reference._cells) == len(times) + 1
+    with pytest.raises(ValueError):
+        reference.cell_masses(0.3, np.linspace(0.0, 1.0, 4), v_edges)
 
 
-def test_trial_diagnostics_from_snapshot_terms_equal_the_references():
-    # tv_estimate and lln_diagnostic on the trial's own snapshots, recomputed from the reference
+def test_trial_diagnostics_equal_the_references_own(monkeypatch):
+    # tv_estimate and lln_diagnostic on the trial's own Z and sigma snapshots,
+    # recomputed from a reference that has stored nothing
     kernel = Kernel.linear()
     reference = kinetic_reference(kernel, horizon=0.5, nx=64, amplitude=0.3)
     x_edges, v_edges = np.linspace(0.0, 1.0, 9), reference.grid.v_edges
-    times = (0.125, 0.25, 0.5)
+    times = (0.125, 0.3, 0.5)
+    sigma_snapshots = {}
+
+    def lln_recorded(config, ref, t):
+        sigma_snapshots[t] = config
+        return lln_diagnostic(config, ref, t)
+
+    monkeypatch.setattr(coupling, "lln_diagnostic", lln_recorded)
     law = InitialLaw((PositionLaw.cosine(0.3),), VelocityLaw.two_point())
     rec = run_coupled_trial(
         kernel, reference, sample_initial(law, 48, 3), 0.5, np.random.default_rng(3), times,
-        SnapshotTerms(reference, times, x_edges, v_edges), record_z_snapshots=True,
+        (x_edges, v_edges), record_z_snapshots=True,
     )
+    assert rec.z_only[-1] > 0  # one-sided events ask the reference at their own times
+    # the store holds one entry per snapshot time and nothing for event times
+    assert sorted(t for t, *_ in reference._cells) == list(times)
+    fresh = SolutionReference(reference.solution, kernel)
     for k, t in enumerate(times):
-        assert rec.tv[k] == tv_estimate(rec.z_snapshots[t], reference, t, x_edges, v_edges)
+        assert rec.tv[k] == tv_estimate(rec.z_snapshots[t], fresh, t, x_edges, v_edges)
+        assert rec.lln[k] == lln_diagnostic(sigma_snapshots[t], fresh, t)
     plain = run_coupled_trial(
         kernel, reference, sample_initial(law, 48, 3), 0.5, np.random.default_rng(3), times
     )

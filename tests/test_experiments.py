@@ -160,7 +160,8 @@ def test_config_fit_needs_four_sizes():
         assert ExperimentConfig.from_json(base_spec(convergence=conv)).trials == 4
 
 
-# each value loaded at the parent of this check: bool() and int() cast it
+# each value loaded at the parent of this check: bool(), int() and float() cast it, and a
+# constant kernel ran every trial of a study before its rate fit failed
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -178,10 +179,24 @@ def test_config_fit_needs_four_sizes():
         ("convergence.n_values", [8, 16.5, 32, 64], "n_values must be an integer"),
         ("convergence.n_values", [8, "16", 32, 64], "n_values must be an integer"),
         ("initial.position.frequency", 1.5, "frequency must be an integer"),
+        ("system.horizon", True, "horizon must be a number"),
+        ("kinetic.dt", "0.01", "dt must be a number"),
+        ("kinetic.v_max", "1.25", "v_max must be a number"),
+        ("kinetic.snapshot_spacing", "0.02", "snapshot_spacing must be a number"),
+        ("snapshot_times", ["0.5"], "snapshot_times must be a number"),
+        ("initial.position.amplitude", "0.3", "amplitude must be a number"),
+        ("initial.position", {"form": "two_mode", "amplitude": 0.2, "amplitude2": "0.1"}, "amplitude2"),
+        ("initial.velocity.speed", True, "speed must be a number"),
+        ("initial.velocity", {"form": "discrete", "atoms": [[-1.0], ["1.0"]], "weights": [0.5, 0.5]},
+         "atoms must be a number"),
+        ("initial.velocity", {"form": "discrete", "atoms": [[-1.0], [1.0]], "weights": ["0.5", 0.5]},
+         "weights must be a number"),
+        ("kernel", {"form": "uniform"}, "fit needs a kernel that is not constant"),
+        ("kernel", {"form": "tabulated", "table": [[0.0, 1.0], [0.5, 1.0], [1.0, 1.0]]}, "not constant"),
     ],
 )
 def test_config_flags_are_booleans_and_counts_are_integers(path, value, message):
-    spec = spec_with("convergence.n_values", [8, 16, 32, 64])
+    spec = spec_with("convergence", {"n_values": [8, 16, 32, 64], "trials": 4, "fit": True})
     *owners, key = path.split(".")
     target = spec
     for owner in owners:
@@ -197,8 +212,10 @@ def test_config_reads_integral_numbers_and_json_booleans():
     spec = base_spec(system={"n": 12.0, "dimension": 1, "horizon": 0.5, "frozen_positions": True})
     spec["kinetic"]["nx"] = 64.0
     spec["initial"]["position"]["frequency"] = 2.0
+    spec["system"]["horizon"] = 1  # a float field takes an integer too
     spec["convergence"] = {"n_values": [8.0, 16, 32.0], "trials": 4.0, "fit": False}
     config = ExperimentConfig.from_json(spec)
+    assert type(config.horizon) is float and config.horizon == 1.0
     assert (config.n, config.nx, config.trials, config.n_values) == (12, 64, 4, (8, 16, 32))
     assert all(type(v) is int for v in (config.n, config.nx, config.trials, *config.n_values))
     assert config.initial.positions[0].frequency == 2
