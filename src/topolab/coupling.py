@@ -58,8 +58,11 @@ _RESIDUAL_TOL = -1e-12
 
 
 def decoupling_bound(kernel: Kernel, n: int, t: float) -> float:
-    """Proved upper bound exp(growth_constant * t) / sqrt(n - 1) for the mean decoupled fraction."""
-    return math.exp(kernel.growth_constant * t) / math.sqrt(n - 1)
+    """Proved bound exp(growth_constant * t) / sqrt(n - 1) on mean d_n; inf once exp overflows."""
+    try:
+        return math.exp(kernel.growth_constant * t) / math.sqrt(n - 1)
+    except OverflowError:
+        return math.inf
 
 
 # -- reference dynamics ----------------------------------------------------------

@@ -24,8 +24,7 @@ import numpy as np
 
 from .coupling import Reference, SolutionReference, TrialRecord, decoupling_bound
 from .coupling import run_coupled_trial
-from .initial import InitialLaw, initial_law_from_json, json_floats, json_value
-from .initial import sample_initial, sample_initials
+from .initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial, sample_initials
 from .kernels import Kernel, rate_normalization
 from .kinetic import (
     SOLVER_VERSION,
@@ -53,15 +52,127 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+# -- the config reader ---------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a key that a config must give
+
+
+def _object(spec, name: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name or 'config'} must be a JSON object, not {type(spec).__name__}")
+    return spec
+
+
+def _read(spec, path: str, keys: dict) -> dict:
+    """The JSON object at `path` read by `keys`, which declares each key as (kind, default).
+
+    An undeclared key is an error.  The values of a section join its parent's.
+    """
+    prefix = f"{path}." if path else ""
+    unknown = [key for key in _object(spec, path) if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+    values = {}
+    for key, (kind, default) in keys.items():
+        if key not in spec and default is _REQUIRED:
+            raise ConfigError(f"{prefix}{key} is missing")
+        value = _value(spec.get(key, default), kind, prefix + key)
+        values.update(value if isinstance(kind, dict) else {key: value})
+    return values
+
+
+def _value(value, kind, name: str):
+    """`value` read as `kind`: bool (JSON true or false only), int (an integral number: 12.0
+    is 12), float (any number), (kind,) for a list of that kind, a dict of keys for a
+    section, or a function of (value, name)."""
+    if isinstance(kind, dict):
+        return _read(value, name, kind)
+    if isinstance(kind, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_value(v, kind[0], name) for v in value)
+    if kind not in (bool, int, float):
+        return kind(value, name)
+    wrong_type = isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float))
+    if wrong_type or (kind is int and value % 1):
+        wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    return kind(value)
+
+
+def _form(cls: type, **forms: dict):
+    """The kind of an object whose "form" names a constructor of `cls`; `forms` gives its keys."""
+
+    def read(spec, name: str):
+        form = _object(spec, name).get("form")
+        if not isinstance(form, str) or form not in forms:
+            raise ConfigError(f"{name}.form must be one of {', '.join(forms)}, got {form!r}")
+        rest = {key: value for key, value in spec.items() if key != "form"}
+        return getattr(cls, form)(**_read(rest, name, forms[form]))
+
+    return read
+
+
+_KERNEL = _form(
+    Kernel,
+    uniform={},
+    linear={},
+    truncated_linear={"epsilon": (float, _REQUIRED)},
+    tabulated={"table": (((float,),), _REQUIRED)},  # [[r, value], ...]
+)
+_POSITION = _form(
+    PositionLaw,
+    uniform={},
+    cosine={"amplitude": (float, _REQUIRED), "frequency": (int, 1)},
+    two_mode={"amplitude": (float, _REQUIRED), "amplitude2": (float, _REQUIRED)},
+    bump={},
+)
+_VELOCITY = _form(
+    VelocityLaw,
+    two_point={"speed": (float, 1.0)},
+    four_point={"speed": (float, 1.0)},
+    discrete={"atoms": (((float,),), _REQUIRED), "weights": ((float,), _REQUIRED)},
+)
+
+
+def _initial(spec, name: str) -> InitialLaw:
+    """A position law for every axis, or a list of them, one per axis; and a velocity law."""
+    keys = {"position": (lambda value, _: value, _REQUIRED), "velocity": (_VELOCITY, _REQUIRED)}
+    position, velocity = _read(spec, name, keys).values()
+    positions = position if isinstance(position, list) else [position] * velocity.d
+    return InitialLaw(tuple(_POSITION(p, f"{name}.position") for p in positions), velocity)
+
+
+# Every key of a version-1 config, with its kind and default, in reading order.  The
+# values of the sections and of the top level name the fields of `ExperimentConfig`.
+_CONFIG_KEYS = {
+    "version": (int, _REQUIRED),
+    "seed": (int, 0),
+    "kernel": (_KERNEL, _REQUIRED),
+    "initial": (_initial, _REQUIRED),
+    "kinetic": (
+        {"nx": (int, 512), "nv": (int, 5), "v_max": (float, 1.25), "dt": (float, 0.01),
+         "snapshot_spacing": (float, 0.02)},
+        {},
+    ),
+    "system": (
+        {"n": (int, 64), "dimension": (int, 1), "horizon": (float, 1.0),
+         "frozen_positions": (bool, False)},
+        {},
+    ),
+    "snapshot_times": ((float,), []),
+    "coupling": ({"tv_bins_x": (int, 8)}, {}),
+    "convergence": ({"n_values": ((int,), []), "trials": (int, 1), "fit": (bool, True)}, {}),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
 
     seed: int
     kernel: Kernel
-    kernel_spec: dict
     initial: InitialLaw
-    initial_spec: dict
     nx: int
     nv: int
     v_max: float
@@ -79,59 +190,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text_or_dict: str | dict) -> "ExperimentConfig":
+        """Read a config by `_CONFIG_KEYS` and validate it; any fault is a ConfigError."""
         try:
             spec = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(spec, dict):
-            raise ConfigError(f"config must be a JSON object, not {type(spec).__name__}")
         try:  # Python's json reads NaN, Infinity and 1e999 (as inf)
             json.dumps(spec, allow_nan=False)
         except ValueError as exc:
             raise ConfigError("config holds NaN, Infinity or a number past the float range") from exc
-        version = spec.get("version")
-        if version != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version {version!r}, expected {CONFIG_VERSION}")
         try:
-            kernel_spec = spec["kernel"]
-            kernel = Kernel.from_json(kernel_spec)
-            kernel.validate()
-            initial_spec = spec["initial"]
-            initial = initial_law_from_json(initial_spec)
-            for key in ("kinetic", "system", "convergence", "coupling"):
-                if not isinstance(spec.get(key, {}), dict):
-                    raise ConfigError(f"{key} must be a JSON object, not {type(spec[key]).__name__}")
-            kin = spec.get("kinetic", {})
-            system = spec.get("system", {})
-            conv = spec.get("convergence", {})
-            coupling = spec.get("coupling", {})
-            config = cls(
-                seed=json_value(spec.get("seed", 0), int, "seed"),
-                kernel=kernel,
-                kernel_spec=kernel_spec,
-                initial=initial,
-                initial_spec=initial_spec,
-                nx=json_value(kin.get("nx", 512), int, "kinetic.nx"),
-                nv=json_value(kin.get("nv", 5), int, "kinetic.nv"),
-                v_max=json_value(kin.get("v_max", 1.25), float, "kinetic.v_max"),
-                dt=json_value(kin.get("dt", 0.01), float, "kinetic.dt"),
-                snapshot_spacing=json_value(
-                    kin.get("snapshot_spacing", 0.02), float, "kinetic.snapshot_spacing"
-                ),
-                n=json_value(system.get("n", 64), int, "system.n"),
-                dimension=json_value(system.get("dimension", 1), int, "system.dimension"),
-                horizon=json_value(system.get("horizon", 1.0), float, "system.horizon"),
-                frozen_positions=json_value(
-                    system.get("frozen_positions", False), bool, "frozen_positions"
-                ),
-                snapshot_times=tuple(json_floats(spec.get("snapshot_times", []), "snapshot_times")),
-                tv_bins_x=json_value(coupling.get("tv_bins_x", 8), int, "tv_bins_x"),
-                n_values=tuple(json_value(v, int, "n_values") for v in conv.get("n_values", [])),
-                trials=json_value(conv.get("trials", 1), int, "trials"),
-                fit=json_value(conv.get("fit", True), bool, "fit"),
-            )
+            fields = _read(spec, "", _CONFIG_KEYS)
+            if (version := fields.pop("version")) != CONFIG_VERSION:
+                raise ConfigError(f"unsupported config version {version}, expected {CONFIG_VERSION}")
+            config = cls(**fields)
             config.validate()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed config: {exc}") from exc
@@ -211,10 +285,11 @@ class ExperimentConfig:
         return tuple(np.round(np.arange(1, 5) * self.horizon / 4, 10))
 
     def kinetic_cache_key(self) -> str:
+        """Hash of what the solution depends on; the parsed kernel and law, so one law has one key."""
         payload = json.dumps(
             {
-                "kernel": self.kernel_spec,
-                "initial": self.initial_spec,
+                "kernel": self.kernel,
+                "initial": self.initial,
                 "nx": self.nx,
                 "nv": self.nv,
                 "v_max": self.v_max,
@@ -224,6 +299,7 @@ class ExperimentConfig:
                 "solver": SOLVER_VERSION,
             },
             sort_keys=True,
+            default=lambda obj: obj.tolist() if isinstance(obj, np.ndarray) else vars(obj),
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -203,62 +203,3 @@ def sample_initials(law: InitialLaw, n: int, seeds) -> list[Configuration]:
         Configuration(np.column_stack([x[k * n : (k + 1) * n] for x in axes]), vel)
         for k, (_, vel) in enumerate(draws)
     ]
-
-
-def json_value(value, kind: type, name: str):
-    """A JSON bool (true or false only), int (integral number: 12.0 is 12) or float (any number)."""
-    wrong_type = isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float))
-    if wrong_type or (kind is int and value % 1):
-        wanted = {bool: "true or false", int: "an integer", float: "a number"}[kind]
-        raise ValueError(f"{name} must be {wanted}, got {value!r}")
-    return kind(value)
-
-
-def json_floats(values, name: str):
-    """`json_value` of kind float for a number, or for each number in nested lists of them."""
-    if isinstance(values, list):
-        return [json_floats(v, name) for v in values]
-    return json_value(values, float, name)
-
-
-def _law_spec(spec: dict, name: str) -> dict:
-    if not isinstance(spec, dict):
-        raise InitialLawError(f"{name} must be a JSON object, not {type(spec).__name__}")
-    return spec
-
-
-def position_law_from_json(spec: dict) -> PositionLaw:
-    form = _law_spec(spec, "initial.position").get("form")
-    if form == "uniform":
-        return PositionLaw.uniform()
-    if form == "cosine":
-        frequency = json_value(spec.get("frequency", 1), int, "initial.position.frequency")
-        return PositionLaw.cosine(json_value(spec["amplitude"], float, "amplitude"), frequency)
-    if form == "two_mode":
-        amplitudes = (json_value(spec[key], float, key) for key in ("amplitude", "amplitude2"))
-        return PositionLaw.two_mode(*amplitudes)
-    if form == "bump":
-        return PositionLaw.bump()
-    raise InitialLawError(f"unknown position law {form!r}")
-
-
-def velocity_law_from_json(spec: dict) -> VelocityLaw:
-    form = _law_spec(spec, "initial.velocity").get("form")
-    if form == "two_point":
-        return VelocityLaw.two_point(json_value(spec.get("speed", 1.0), float, "speed"))
-    if form == "four_point":
-        return VelocityLaw.four_point(json_value(spec.get("speed", 1.0), float, "speed"))
-    if form == "discrete":
-        return VelocityLaw.discrete(*(json_floats(spec[key], key) for key in ("atoms", "weights")))
-    raise InitialLawError(f"unknown velocity law {form!r}")
-
-
-def initial_law_from_json(spec: dict) -> InitialLaw:
-    """Parse {"position": {...} | [{...}, ...], "velocity": {...}}."""
-    pos_spec = _law_spec(spec, "initial")["position"]
-    velocity = velocity_law_from_json(spec["velocity"])
-    if isinstance(pos_spec, dict):
-        laws = tuple(position_law_from_json(pos_spec) for _ in range(velocity.d))
-    else:
-        laws = tuple(position_law_from_json(p) for p in pos_spec)
-    return InitialLaw(positions=laws, velocity=velocity)

@@ -69,13 +69,14 @@ class Kernel:
 
     @classmethod
     def truncated_linear(cls, epsilon: float) -> "Kernel":
-        if not 0.0 < epsilon <= 1.0:
-            raise KernelError(f"truncated_linear needs 0 < epsilon <= 1, got {epsilon}")
-        return cls(form="truncated_linear", lipschitz=2.0 / epsilon**2, epsilon=epsilon)
+        lipschitz = 2.0 / epsilon**2 if epsilon**2 > 0.0 else math.inf
+        if not (0.0 < epsilon <= 1.0 and lipschitz < math.inf):
+            raise KernelError(f"truncated_linear needs 0 < epsilon <= 1, finite 2/epsilon^2: {epsilon}")
+        return cls(form="truncated_linear", lipschitz=lipschitz, epsilon=epsilon)
 
     @classmethod
-    def tabulated(cls, points: Sequence[tuple[float, float]]) -> "Kernel":
-        pts = np.asarray(sorted(points), dtype=float)
+    def tabulated(cls, table: Sequence[tuple[float, float]]) -> "Kernel":
+        pts = np.asarray(sorted(table), dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise KernelError("tabulated kernel needs at least two (r, value) pairs")
         r, v = pts[:, 0], pts[:, 1]
@@ -87,30 +88,6 @@ class Kernel:
         kernel = cls(form="tabulated", lipschitz=lip, breakpoints=r, table_values=v)
         kernel.validate()
         return kernel
-
-    @classmethod
-    def from_json(cls, spec: dict) -> "Kernel":
-        """Build a kernel from a JSON object {"form": ..., parameters, table}."""
-        if not isinstance(spec, dict):
-            raise KernelError(f"kernel must be a JSON object, not {type(spec).__name__}")
-        form = spec.get("form")
-        if form == "uniform":
-            return cls.uniform()
-        if form == "linear":
-            return cls.linear()
-        if form == "truncated_linear":
-            return cls.truncated_linear(float(spec["epsilon"]))
-        if form == "tabulated":
-            return cls.tabulated([(float(r), float(v)) for r, v in spec["table"]])
-        raise KernelError(f"unknown kernel form {form!r}")
-
-    def to_json(self) -> dict:
-        spec: dict = {"form": self.form}
-        if self.epsilon is not None:
-            spec["epsilon"] = self.epsilon
-        if self.breakpoints is not None:
-            spec["table"] = [[float(r), float(v)] for r, v in zip(self.breakpoints, self.table_values)]
-        return spec
 
     # -- evaluation --------------------------------------------------------
 

@@ -138,17 +138,19 @@ def render_rate_loglog(aggregate: np.ndarray, slope: float | None, intercept: fl
     bounds = rows[:, 4]
     lx = np.log10(ns - 1.0)
     ly = np.log10(means)
-    lb = np.log10(bounds)
+    finite = np.isfinite(bounds)  # an overflowed bound is inf: it has no point on the plot
+    bx, lb = lx[finite], np.log10(bounds[finite])
     y_lo = float(ly.min()) - 0.4
-    y_hi = float(max(lb.max(), ly.max())) + 0.4
+    y_hi = float(max(lb.max(initial=-np.inf), ly.max())) + 0.4
     ax = _Axes(float(lx.min()) - 0.2, float(lx.max()) + 0.2, y_lo, y_hi)
     canvas.frame()
     for tick in _ticks(float(lx.min()), float(lx.max())):
         canvas.tick_x(ax.px(tick), format(tick, ".3g"))
     for tick in _ticks(y_lo, y_hi):
         canvas.tick_y(ax.py(tick), format(tick, ".3g"))
-    canvas.polyline([(ax.px(x), ax.py(b)) for x, b in zip(lx, lb)], "#777777", dash="6,3")
-    canvas.text(ax.px(lx[0]), ax.py(lb[0]) - 6, "proved bound", color="#777777")
+    if len(lb):
+        canvas.polyline([(ax.px(x), ax.py(b)) for x, b in zip(bx, lb)], "#777777", dash="6,3")
+        canvas.text(ax.px(bx[0]), ax.py(lb[0]) - 6, "proved bound", color="#777777")
     for x, y in zip(lx, ly):
         canvas.circle(ax.px(x), ax.py(y), "#1b6ca8")
     if slope is not None and intercept is not None:

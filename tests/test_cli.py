@@ -230,3 +230,66 @@ def test_internal_fault_is_not_a_config_error(tmp_path, monkeypatch):
     config = write_config(tmp_path, small_spec())
     with pytest.raises(ValueError, match="internal fault"):
         main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "path, key, value",
+    [
+        ("", "seeed", 5),
+        ("kinetic", "nxx", 128),
+        ("system", "sped", 1.0),
+        ("coupling", "tv_bins", 4),
+        ("convergence", "trails", 20),
+        ("kernel", "fom", "linear"),
+        ("kernel", "epsilon", 0.5),  # a key of another form
+        ("initial", "velocities", {}),
+        ("initial.position", "amplitud", 0.3),
+        ("initial.position", "amplitude2", 0.1),  # a key of another form
+        ("initial.velocity", "sped", 1.0),
+        ("initial.velocity", "weights", [0.5, 0.5]),  # a key of another form
+    ],
+)
+def test_an_undeclared_key_fails_before_writing(tmp_path, capsys, path, key, value):
+    spec = small_spec()
+    target = spec
+    for owner in filter(None, path.split(".")):
+        target = target[owner]
+    target[key] = value
+    config = write_config(tmp_path, spec)
+    for command in ("simulate", "kinetic", "couple", "convergence"):
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert f"unknown config key {path}{'.' if path else ''}{key}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_ramp_too_narrow_for_its_lipschitz_constant_fails_at_load(tmp_path, capsys):
+    # 2 / 1e-300^2 divided by zero, and 2 / 1e-160^2 is inf
+    for epsilon in (1e-300, 1e-160):
+        spec = small_spec()
+        spec["kernel"] = {"form": "truncated_linear", "epsilon": epsilon}
+        config = write_config(tmp_path, spec)
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "truncated_linear needs 0 < epsilon <= 1, finite 2/epsilon^2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_study_whose_bound_overflows_reports_inf(tmp_path):
+    # Lip(K) = 200, so c = 8 sqrt(e) 200 = 2638: exp(c t) overflows at t = 1 but not at 0.25
+    spec = small_spec()
+    spec["kernel"] = {"form": "truncated_linear", "epsilon": 0.1}
+    spec["system"].update(n=32, horizon=1.0)
+    spec["snapshot_times"] = [0.25, 1.0]
+    spec["convergence"] = {"n_values": [32, 64], "trials": 2, "fit": False}
+    config = write_config(tmp_path, spec)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    rows = [row.split(",") for row in (out / "aggregate.csv").read_text().splitlines()[2:]]
+    assert [row[4] for row in rows if row[1] == "1"] == ["inf", "inf"]
+    assert all(float(row[4]) < float("inf") for row in rows if row[1] == "0.25")
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+    svgs = sorted(out.glob("*.svg"))
+    assert len(svgs) == 3
+    for path in svgs:
+        assert "nan" not in path.read_text(), path.name

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -42,6 +44,8 @@ def kinetic_reference(kernel, horizon=1.0, nx=128, amplitude=0.0):
 def test_decoupling_bound_values():
     assert decoupling_bound(Kernel.uniform(), 65, 1.0) == pytest.approx(1.0 / 8.0)
     assert decoupling_bound(Kernel.linear(), 2, 0.0) == 1.0
+    # c = 8 sqrt(e) 200 = 2638 for the steepest ramp of the sweep: exp(c) is past the float range
+    assert decoupling_bound(Kernel.truncated_linear(0.1), 32, 1.0) == math.inf
 
 
 def test_flat_kernel_every_event_joint():

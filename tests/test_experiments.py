@@ -17,6 +17,9 @@ from topolab.experiments import (
     run_particle_simulation,
     run_single_coupled,
 )
+from topolab.kernels import preset_kernels
+
+ROOT = Path(__file__).parent.parent
 
 
 def base_spec(**overrides) -> dict:
@@ -220,6 +223,86 @@ def test_config_reads_integral_numbers_and_json_booleans():
     assert all(type(v) is int for v in (config.n, config.nx, config.trials, *config.n_values))
     assert config.initial.positions[0].frequency == 2
     assert config.frozen_positions is True and config.fit is False
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # float() reads "0.5" and True, and True == 1: the reader takes only JSON numbers
+        ("kernel", {"form": "truncated_linear", "epsilon": True}, "kernel.epsilon must be a number"),
+        ("kernel", {"form": "truncated_linear", "epsilon": "0.5"}, "kernel.epsilon must be a number"),
+        ("kernel", {"form": "tabulated", "table": [["0", 2], [1, "0"]]}, "kernel.table must be a number"),
+        ("version", True, "version must be an integer"),
+        ("kernel", {"form": "truncated_linear"}, "kernel.epsilon is missing"),
+        ("kernel", {"form": "step"}, "kernel.form must be one of uniform, linear, truncated_linear"),
+        ("kernel", {"form": "tabulated", "table": [0.0, 2.0, 1.0, 0.0]}, "kernel.table must be a list"),
+        ("convergence.n_values", 8, "convergence.n_values must be a list"),
+        ("initial.velocity", {"form": "discrete", "atoms": [[0.0]], "weights": 1.0}, "weights must be a list"),
+    ],
+)
+def test_reader_types_every_value_and_names_its_path(path, value, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_json(spec_with(path, value))
+
+
+def kernel_spec(kernel) -> dict:
+    """The JSON object of a kernel in a config."""
+    spec = {"form": kernel.form}
+    if kernel.epsilon is not None:
+        spec["epsilon"] = kernel.epsilon
+    if kernel.breakpoints is not None:
+        spec["table"] = [[float(r), float(v)] for r, v in zip(kernel.breakpoints, kernel.table_values)]
+    return spec
+
+
+def test_reader_round_trips_the_preset_kernels():
+    for kernel in preset_kernels().values():
+        clone = ExperimentConfig.from_json(base_spec(kernel=kernel_spec(kernel))).kernel
+        grid = np.linspace(0.0, 1.0, 257)
+        np.testing.assert_allclose(clone(grid), kernel(grid), rtol=0, atol=0)
+        assert clone.lipschitz == pytest.approx(kernel.lipschitz)
+
+
+def test_reader_reads_initial_laws():
+    law = ExperimentConfig.from_json(base_spec()).initial
+    assert law.d == 1
+    assert law.positions[0].amplitude == 0.3
+    spec = base_spec(
+        initial={
+            "position": [{"form": "uniform"}, {"form": "bump"}],
+            "velocity": {"form": "four_point"},
+        }
+    )
+    spec["system"]["dimension"] = 2
+    law2 = ExperimentConfig.from_json(spec).initial
+    assert law2.d == 2
+    assert [p.form for p in law2.positions] == ["uniform", "bump"]
+    with pytest.raises(ConfigError, match="initial.position.form must be one of"):
+        ExperimentConfig.from_json(spec_with("initial.position", {"form": "nope"}))
+
+
+def test_one_law_has_one_cache_key():
+    key = ExperimentConfig.from_json(base_spec()).kinetic_cache_key()
+    for path, value in (
+        ("initial.velocity.speed", 1),
+        ("initial.position.frequency", 1),
+        ("initial.position", [{"form": "cosine", "amplitude": 0.3}]),
+    ):
+        assert ExperimentConfig.from_json(spec_with(path, value)).kinetic_cache_key() == key, path
+    other = ExperimentConfig.from_json(spec_with("initial.position.amplitude", 0.25))
+    assert other.kinetic_cache_key() != key
+    ramp = [spec_with("kernel", {"form": "truncated_linear", "epsilon": e}) for e in (1, 1.0, 0.5)]
+    keys = [ExperimentConfig.from_json(spec).kinetic_cache_key() for spec in ramp]
+    assert keys[0] == keys[1] != keys[2]
+
+
+def test_documented_and_shipped_configs_load():
+    # the README's example, every file in configs/ and the golden config use declared keys only
+    example = (ROOT / "README.md").read_text().split("## Config schema")[1].split("```json")[1]
+    files = [*sorted((ROOT / "configs").glob("*.json")), ROOT / "tests" / "data" / "golden_config.json"]
+    assert len(files) >= 3
+    for text in [example.split("```")[0], *(path.read_text() for path in files)]:
+        assert ExperimentConfig.from_json(text).kernel.form == "linear"
 
 
 def test_kinetic_cache_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from topolab.initial import (
     InitialLawError,
     PositionLaw,
     VelocityLaw,
-    initial_law_from_json,
     sample_initial,
     sample_initials,
 )
@@ -99,26 +98,6 @@ def test_two_dimensional_law():
     assert config.positions.shape == (100, 2)
     speeds = np.linalg.norm(config.velocities, axis=1)
     np.testing.assert_allclose(speeds, 1.0)
-
-
-def test_json_round_trip():
-    law = initial_law_from_json(
-        {
-            "position": {"form": "cosine", "amplitude": 0.3},
-            "velocity": {"form": "two_point", "speed": 1.0},
-        }
-    )
-    assert law.d == 1
-    assert law.positions[0].amplitude == 0.3
-    law2 = initial_law_from_json(
-        {
-            "position": [{"form": "uniform"}, {"form": "bump"}],
-            "velocity": {"form": "four_point"},
-        }
-    )
-    assert law2.d == 2
-    with pytest.raises(InitialLawError):
-        initial_law_from_json({"position": {"form": "nope"}, "velocity": {"form": "two_point"}})
 
 
 def test_mismatched_dimensions_rejected():

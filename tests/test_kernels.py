@@ -67,12 +67,12 @@ def test_tabulated_rejects_bad_tables():
         Kernel.tabulated([(0.0, 2.0), (1.0, 1.0)])  # integral far from 1
 
 
-def test_json_round_trip(presets):
-    for kernel in presets.values():
-        clone = Kernel.from_json(kernel.to_json())
-        grid = np.linspace(0.0, 1.0, 257)
-        np.testing.assert_allclose(clone(grid), kernel(grid), rtol=0, atol=0)
-        assert clone.lipschitz == pytest.approx(kernel.lipschitz)
+def test_truncated_linear_needs_a_finite_lipschitz_constant():
+    # 1e-300 squared is 0.0, so 2 / eps^2 divided by zero; at 1e-160 it is inf
+    for epsilon in (1e-300, 1e-160):
+        with pytest.raises(KernelError, match="finite 2/epsilon"):
+            Kernel.truncated_linear(epsilon)
+    assert Kernel.truncated_linear(1e-150).lipschitz == 2.0 / 1e-150**2
 
 
 def test_riemann_error_uniform_is_exactly_zero():

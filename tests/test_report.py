@@ -73,3 +73,23 @@ def test_loglog_skips_sizes_that_never_decoupled():
 def test_tv_plot_requires_rows():
     with pytest.raises(ConfigError):
         render_tv_vs_dn({})
+
+
+def test_loglog_draws_the_bound_where_it_is_finite():
+    # exp(c t) overflows to inf at small n first; those sizes get no bound point and no range
+    aggregate = np.array(
+        [
+            [16, 1.0, 0.05, 0.01, np.inf],
+            [32, 1.0, 0.03, 0.01, 1e300],
+            [64, 1.0, 0.02, 0.01, 7e299],
+        ]
+    )
+    svg = render_rate_loglog(aggregate, None, None)
+    assert "nan" not in svg and "inf" not in svg
+    (bound,) = [line for line in svg.splitlines() if "stroke-dasharray" in line]
+    assert bound.split('"')[1].count(",") == 2  # the points of n = 32 and 64
+    assert "proved bound" in svg
+    aggregate[:, 4] = np.inf
+    svg = render_rate_loglog(aggregate, None, None)
+    assert "nan" not in svg and "stroke-dasharray" not in svg and "proved bound" not in svg
+    assert svg.count("<circle") == 3
