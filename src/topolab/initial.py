@@ -77,9 +77,13 @@ class PositionLaw:
         x = np.asarray(x, dtype=float)
         if self.form == "uniform":
             return x.copy()
-        if self.form == "cosine":
-            k = self.frequency
-            return x + self.amplitude * np.sin(2.0 * np.pi * k * x) / (2.0 * np.pi * k)
+        if self.form == "cosine":  # x + a sin(2 pi k x) / (2 pi k), in one buffer
+            y = np.multiply(2.0 * np.pi * self.frequency, x)
+            np.sin(y, out=y)
+            y *= self.amplitude
+            y /= 2.0 * np.pi * self.frequency
+            y += x
+            return y
         if self.form == "two_mode":
             return (
                 x
@@ -96,16 +100,21 @@ class PositionLaw:
         return self.invert(rng.random(size))
 
     def invert(self, u: np.ndarray) -> np.ndarray:
-        """The points whose CDF is u, by elementwise bisection: any batch keeps each entry's bits."""
+        """The points whose CDF is u, by elementwise bisection: any batch keeps each entry's bits.
+
+        The bracket moves in place and without branches: with b = [cdf(mid) < u]
+        as 0 or 1, (max(lo, b mid), min(hi, mid + 2 b)) is (mid, hi) where b is
+        1 and (lo, mid) where it is 0.
+        """
         if self.form == "uniform":
             return u
-        lo = np.zeros(u.shape)
-        hi = np.ones(u.shape)
+        lo, hi, mid, step = np.zeros(u.shape), np.ones(u.shape), np.empty(u.shape), np.empty(u.shape)
+        below = np.empty(u.shape, dtype=bool)
         for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
+            np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+            np.less(self.cdf(mid), u, out=below)
+            np.maximum(lo, np.multiply(mid, below, out=step), out=lo)
+            np.minimum(hi, np.add(mid, np.multiply(below, 2.0, out=step), out=step), out=hi)
         return 0.5 * (lo + hi)
 
     def cell_masses(self, edges: np.ndarray) -> np.ndarray:

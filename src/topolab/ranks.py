@@ -11,12 +11,13 @@ The rank law K(h/(n-1)) does not depend on the positions, so the simulations
 draw a partner's rank first (`rank_cdf`, `draw_index`) and then find the
 particle of that rank.  A running simulation stores comoving coordinates
 u = wrap(x - v t), so free streaming costs nothing.  In d = 1 a
-`Configuration` keeps its u in one sorted run per velocity, and
-`Configuration.partner_at_rank` finds the particle of rank h without touching
-the other particles.  `partner_at_rank` does the same on materialized
-positions with one partition; it serves d = 2 and is the test oracle.  The
-full rank vector and probability vector (`rank_vector`,
-`partner_distribution`) are built only where a whole row is needed.
+`Configuration` keeps its u in one sorted run per velocity;
+`Configuration.partner_at_rank` counts arcs of the runs by bisection until a
+few dozen particles remain, and reads those.  `partner_at_rank` finds the
+same particle on materialized positions with one partition; it serves d = 2
+and is the test oracle.  The full rank vector and probability vector
+(`rank_vector`, `partner_distribution`) are built only where a whole row is
+needed.
 """
 
 from __future__ import annotations
@@ -128,113 +129,126 @@ class Configuration:
     def partner_at_rank(self, i: int, h: int, t: float) -> int:
         """`partner_at_rank` on the positions at time t, with the same tie-break.
 
-        In d = 2 there are no runs: the positions are materialized.  In d = 1
-        each run is a circle of u; the particles within distance r of x_i are
-        an arc of it around a = x_i - s t, counted with two bisections.  The
-        radius is narrowed (by interpolating the counts, or halving when that
-        stalls) until few particles lie between a radius that holds at most
-        h of them and one that holds more.  Approximate distances differ from
-        the exact ones by at most ``eps``; the particles within ``2 eps`` of
-        the two radii get their exact distance, computed like
-        `torus.distances_from`, and are sorted by (distance, index).
+        In d = 2 the positions are materialized.  In d = 1 each run is a circle
+        of u; the particles within distance r of x_i are an arc of it around
+        a = x_i - s t, counted with two bisections.  The radius is narrowed until
+        at most ``_FEW`` particles lie between one that holds at most h of them
+        and one that holds more, or a probe adds none (a cluster of ties).  Those
+        are read with slices and ranked by approximate distance, within ``eps``
+        of the exact one; exact distances are needed only at ties within 2 eps.
         """
-        if self.positions.shape[1] != 1:
-            return partner_at_rank(self.transported(t), i, h)
-        n = self.n
+        n = len(self.positions)
         if not (0 <= i < n and 0 <= h < n):
             raise IndexError(f"focal {i} or rank {h} out of range for n={n}")
         if h == 0:
             return i
         runs = self._runs
         if runs is None:
+            if self.positions.shape[1] != 1:
+                return partner_at_rank(self.transported(t), i, h)
             u, s = self.positions[:, 0], self.velocities[:, 0]
             order = np.lexsort((u, s))
             runs = self._runs = {}
             for key in np.unique(s):
                 members = order[s[order] == key]
                 runs[float(key)] = (u[members].tolist(), members.tolist())
-        x_i = self.position(i, t)[0]
+        # an offset of 0 (frozen positions) leaves every u in [0, 1) as it is
+        x_i = self.positions.item(i)
+        c = self.velocities.item(i) * t
+        if c:
+            x_i = _wrapped(x_i, c)
         arcs = []
-        reach = 1.0
         for s, (us, ids) in runs.items():
-            c = s * t
-            arcs.append((us, _wrapped(x_i, -c), len(us), ids, c))
-            reach = max(reach, 1.0 + abs(c))
-        eps = _SLACK * reach
+            a = x_i - s * t
+            if not 0.0 <= a < 1.0:
+                a -= floor(a)
+                a -= floor(a)
+            arcs.append((us, a, len(us), ids, 2 * len(arcs)))
+        eps = _SLACK * (1.0 + abs(t) * max(map(abs, runs)))
 
-        # k_lo <= h < k_hi particles lie within r_lo and r_hi, and bounds_lo
-        # and bounds_hi hold the arcs of each run at those radii (None: the
-        # empty arc and the whole circle).  The first radius assumes a uniform
-        # density; then secant steps through the last two radii aim just past
-        # h on the side of the bracket that the last radius did not move; the
-        # bracket is halved when a step leaves it or after _SECANTS probes.
-        r_lo, k_lo, r_hi, k_hi = -1.0, 0, 0.5, n
-        bounds_lo = bounds_hi = None
-        r_last, k_last = 0.0, 0
-        r = (h + 0.5) / (2 * n)
-        probes = 0
-        while True:
+        # k_lo <= h < k_hi particles lie within r_lo and r_hi (0.5 unprobed: all
+        # n), their arcs [start, stop) per run in bounds_lo and bounds_hi.  The
+        # first radius assumes a uniform density, secant steps aim just across
+        # h, and the bracket halves when a step leaves it or after _SECANTS
+        # probes.  Radii stay below 0.5 - eps, so no arc holds a u twice.
+        bounds_lo, bounds_hi, cur = [0] * (2 * len(arcs)), [0] * (2 * len(arcs)), [0] * (2 * len(arcs))
+        r_lo, k_lo, r_hi, k_hi = 0.0, 0, 0.5, n
+        r_last, k_last, aim, tiny = 0.0, 0, h + 0.5, 4.0 * eps
+        r = aim / (2 * n)
+        for probes in range(64):
             k = 0
-            bounds = []
-            for us, a, _, _, _ in arcs:
-                start, stop = _arc(us, a, r)
-                bounds.append((start, stop))
+            for us, a, size, _, q in arcs:
+                lo = a - r
+                hi = a + r
+                start = bisect_left(us, lo + 1.0) - size if lo < 0.0 else bisect_left(us, lo)
+                stop = bisect_right(us, hi - 1.0) + size if hi >= 1.0 else bisect_right(us, hi)
+                cur[q] = start
+                cur[q + 1] = stop
                 k += stop - start
-            probes += 1
             if k <= h:
-                r_lo, k_lo, bounds_lo = r, k, bounds
-                aim = h + 0.5 + _FEW / 4
+                if k == k_lo:
+                    break
+                r_lo, k_lo, bounds_lo, cur = r, k, cur, bounds_lo
+                step = aim + _FEW / 8
             else:
-                r_hi, k_hi, bounds_hi = r, k, bounds
-                aim = h + 0.5 - _FEW / 4
-            base = r_lo if r_lo > 0.0 else 0.0
-            if k_hi - k_lo <= _FEW or r_hi - base <= 4.0 * eps:
+                if k == k_hi < n:
+                    break
+                r_hi, k_hi, bounds_hi, cur = r, k, cur, bounds_hi
+                step = aim - _FEW / 8
+            if k_hi - k_lo <= _FEW or r_hi - r_lo <= tiny:
                 break
-            step = r + (aim - k) * (r - r_last) / (k - k_last) if k != k_last else -1.0
+            if k != k_last and probes < _SECANTS:
+                step = r + (step - k) * (r - r_last) / (k - k_last)
             r_last, k_last = r, k
-            r = step if base < step < r_hi and probes < _SECANTS else 0.5 * (base + r_hi)
+            r = step if r_lo < step < r_hi - eps else 0.5 * (r_lo + r_hi)
 
-        # Inside the inner arc: closer than the partner (the focal particle too,
-        # as its own arc is that wide).  Outside the outer arc: farther.  These
-        # are the arcs of the bracket unless a particle lies within 2 eps of
-        # their radii; ``us[k % size] + k // size`` is the u of cyclic index k
-        # on the unrolled circle.
-        inner, outer = r_lo - 2.0 * eps, r_hi + 2.0 * eps
-        has_inner = inner >= eps
-        before = 0 if has_inner else 1
-        near = []
-        for q, (us, a, size, ids, c) in enumerate(arcs):
-            if bounds_hi is None:
-                p1, p4 = 0, size
-            else:
-                p1, p4 = bounds_hi[q]
-                if p4 - p1 < size and (
-                    us[(p1 - 1) % size] + (p1 - 1) // size >= a - outer
-                    or us[p4 % size] + p4 // size <= a + outer
-                ):
-                    p1, p4 = _arc(us, a, outer)
-            if not has_inner:
-                ranges = ((p1, p4),)
-            else:
-                p2, p3 = bounds_lo[q]
-                if p2 < p3 and (
-                    us[p2 % size] + p2 // size <= a - inner
-                    or us[(p3 - 1) % size] + (p3 - 1) // size >= a + inner
-                ):
-                    p2, p3 = _arc(us, a, inner)
-                before += p3 - p2
-                ranges = ((p3, p2 + size),) if p4 - p1 >= size else ((p1, p2), (p3, p4))
-            for lo, hi in ranges:
-                for p in range(lo, hi):
-                    p %= size
-                    j = ids[p]
-                    if j != i:
-                        y = _wrapped(us[p], c) - x_i
-                        near.append((abs(y - round(y)), j))
-        if not 0 <= h - before < len(near):
-            raise AssertionError(f"rank {h} not among the {len(near)} near particles past {before}")
-        near.sort()
-        return near[h - before][1]
+        # Between the arcs of a run lie a left side [p1, p2) at distance a - u
+        # and a right side [p3, p4) at u - a (cyclic indices).  Without an inner
+        # arc (as narrow as the rounding of the focal particle's own u) or an
+        # outer one, the right side is the whole range, its distances folded.
+        inner = r_lo >= 3.0 * eps
+        folded = not inner or k_hi == n
+        ds = []
+        for us, a, size, _, q in arcs:
+            if not inner:
+                bounds_lo[q] = bounds_lo[q + 1] = bounds_hi[q]
+            elif k_hi == n:
+                bounds_hi[q], bounds_hi[q + 1] = bounds_lo[q], bounds_lo[q] + size
+            p1, p2, p3, p4 = bounds_hi[q], bounds_lo[q], bounds_lo[q + 1], bounds_hi[q + 1]
+            if p1 < p2:
+                ds += [a - u for u in us[p1:p2]] if p1 >= 0 else [(a - u) % 1.0 for u in _cyclic(us, p1, p2)]
+            if folded:
+                ds += [y if y <= 0.5 else 1.0 - y for y in [(u - a) % 1.0 for u in _cyclic(us, p3, p4)]]
+            elif p3 < p4:
+                ds += [u - a for u in us[p3:p4]] if p4 <= size else [(u - a) % 1.0 for u in _cyclic(us, p3, p4)]
+        # without an inner arc the focal particle is among ds, at distance < eps
+        rank = h - k_lo if inner else h
+        near = sorted(ds)
+        d = near[rank]
+        below = near[rank - 1] if rank else r_lo + eps
+        above = near[rank + 1] if rank + 1 < len(near) else (1.0 if k_hi == n else r_hi - eps)
+        if below < d - 2.0 * eps < d + 2.0 * eps < above:
+            p = ds.index(d)
+            for us, a, size, ids, q in arcs:
+                if p < bounds_lo[q] - bounds_hi[q]:
+                    return ids[(bounds_hi[q] + p) % size]
+                p -= bounds_lo[q] - bounds_hi[q]
+                if p < bounds_hi[q + 1] - bounds_lo[q + 1]:
+                    return ids[(bounds_lo[q + 1] + p) % size]
+                p -= bounds_hi[q + 1] - bounds_lo[q + 1]
+
+        # near ties: exact distances as `partner_at_rank`'s within 3 eps of d
+        inner = d >= 6.0 * eps
+        band = []
+        for us, a, size, ids, _ in arcs:
+            p1, p4 = _arc(us, a, d + 3.0 * eps)
+            p2, p3 = _arc(us, a, d - 3.0 * eps) if inner else (p1, p1)
+            h -= p3 - p2
+            band += _cyclic(ids, p3, p2 + size) if p4 - p1 >= size else _cyclic(ids, p1, p2) + _cyclic(ids, p3, p4)
+        band = np.array([j for j in band if j != i])
+        x = torus.wrap(torus.wrap(self.positions[band] + self.velocities[band] * t))
+        dist = torus.distances_from(x, np.array([x_i]))
+        return int(band[np.lexsort((band, dist))[h if inner else h - 1]])
 
 
 def _wrapped(u: float, c: float) -> float:
@@ -247,12 +261,10 @@ def _wrapped(u: float, c: float) -> float:
 # The bound on the rounding error of a comoving distance, in units of 1 + |v t|:
 # 2**6 times the few ulps that the wraps and differences can lose.
 _SLACK = 2.0**-46
-# `Configuration.partner_at_rank` stops narrowing the radius once this few
-# particles remain between the bounds, and sorts them by exact distance.  A
-# secant step need not shrink the bracket much, as when a cluster of tied
-# particles sits at the partner's distance, so past _SECANTS probes it only
-# halves, which bounds the search.
-_FEW = 4
+# `Configuration.partner_at_rank` reads the particles between its bounds once
+# at most _FEW remain (32 to 48 cost about the same on sampled states, 48 with
+# the fewest probes); past _SECANTS probes its bracket only halves.
+_FEW = 48
 _SECANTS = 12
 
 
@@ -266,6 +278,14 @@ def _arc(run: list[float], a: float, r: float) -> tuple[int, int]:
     start = bisect_left(run, lo + 1.0) - len(run) if lo < 0.0 else bisect_left(run, lo)
     stop = bisect_right(run, hi - 1.0) + len(run) if hi >= 1.0 else bisect_right(run, hi)
     return start, min(stop, start + len(run))
+
+
+def _cyclic(seq: list, lo: int, hi: int) -> list:
+    """``[seq[k % len(seq)] for k in range(lo, hi)]`` for -len <= lo <= hi <= lo + len <= 2 len."""
+    if lo < 0:
+        return seq[lo:] + seq[:hi] if hi > 0 else seq[lo : hi or None]
+    size = len(seq)
+    return seq[lo:hi] if hi <= size else seq[lo:] + seq[: hi - size] if lo < size else seq[lo - size : hi - size]
 
 
 def rank_vector(config: Configuration, i: int) -> np.ndarray:

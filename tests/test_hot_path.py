@@ -1,8 +1,10 @@
-"""Joint and standalone events in d = 1 touch no whole-array routine.
+"""Joint and standalone events in d = 1 touch no whole-array routine, and their
+partner lookup takes few radius probes.
 
-A timing-free check that the cost of such an event does not grow with n: the
+Timing-free checks that the cost of such an event does not grow with n: the
 O(n) routines (all distances from a point, the partition-based rank lookup,
-materialized positions) may run on one-sided events and at snapshots only.
+materialized positions) may run on one-sided events and at snapshots only, and
+a lookup's bisections are counted.
 """
 
 from collections import Counter
@@ -15,6 +17,7 @@ from topolab import coupling, ranks, torus
 from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
 from topolab.kernels import Kernel
 from topolab.particle import simulate
+from topolab.ranks import Configuration
 
 N = 4096
 HORIZON = 0.25
@@ -79,3 +82,52 @@ def test_standalone_events_touch_no_whole_array(calls, frozen):
     assert traj.event_count > 500
     # moving positions are materialized at each snapshot and at the end
     assert calls == (Counter() if frozen else Counter(transported=len(SNAPSHOTS) + 1))
+
+
+def probes_per_lookup(monkeypatch, config: Configuration, times, lookups: int, seed: int) -> list[float]:
+    """Radius probes of each `Configuration.partner_at_rank` call: its bisections over
+    two per run (the arcs it reads again at near ties count too).  Every tenth
+    partner is checked against `ranks.partner_at_rank` on the positions."""
+    calls = Counter()
+
+    def counted(original):
+        def bisect(*args):
+            calls["bisect"] += 1
+            return original(*args)
+
+        return bisect
+
+    for name in ("bisect_left", "bisect_right"):
+        monkeypatch.setattr(ranks, name, counted(getattr(ranks, name)))
+    n = config.n
+    cdf = ranks.rank_cdf(Kernel.linear(), n)
+    rng = np.random.default_rng(seed)
+    probes = []
+    for k in range(lookups):
+        i, h, t = int(rng.integers(n)), ranks.draw_index(rng.random(), cdf), times[k % len(times)]
+        before = calls["bisect"]
+        j = config.partner_at_rank(i, h, t)
+        probes.append((calls["bisect"] - before) / (2 * len(config._runs)))
+        if k % 10 == 0:
+            assert j == ranks.partner_at_rank(config.transported(t), i, h)
+    return probes
+
+
+@pytest.mark.parametrize(("n", "bound"), [(512, 2.5), (8192, 3.25)])
+def test_a_lookup_takes_few_probes_on_sampled_states(monkeypatch, n, bound):
+    # 1.9-2.0 and 2.7-2.8 probes per lookup on average; a search that narrows
+    # the radius until at most 4 particles remain takes 3.6 and 4.7
+    for seed in (1, 2):
+        probes = probes_per_lookup(monkeypatch, sample_initial(LAW, n, seed), (0.3,), 1000, seed)
+        assert np.mean(probes) <= bound
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_a_lookup_takes_few_probes_on_a_lattice(monkeypatch, n):
+    # n/48 particles of each velocity share each site of the 1/16 lattice, so
+    # clusters of exact ties sit at every distance: at most 6 probes; a search
+    # that narrows the radius down to 4 eps around a cluster takes up to 52
+    sites = np.arange(n) % 16 / 16.0
+    config = Configuration(sites, np.array([-1.0, 0.0, 1.0])[np.arange(n) % 3])
+    probes = probes_per_lookup(monkeypatch, config, (0.0, 1.0 / 16, 0.5), 300, 5)
+    assert max(probes) <= 8 and np.mean(probes) <= 5

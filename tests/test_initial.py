@@ -138,3 +138,28 @@ def test_batched_inversion_equals_each_trials_own_draw(positions):
         assert sample_initial(law, n, seeds[0]).positions.tobytes() == (
             drawn_one_by_one(law, n, seeds[0])[0].tobytes()
         )
+
+
+def inverted_by_the_where_loop(law: PositionLaw, u: np.ndarray) -> np.ndarray:
+    """`PositionLaw.invert` as a loop of whole-batch temporaries: the reference for its bits."""
+    lo, hi = np.zeros(u.shape), np.ones(u.shape)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = law.cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("law", all_position_laws()[1:], ids=lambda p: p.form + str(p.frequency))
+def test_inversion_in_place_keeps_the_bits_of_the_where_loop(law):
+    # the edges u = 0 and u just below 1, the law's own cell edges, and draws
+    edges = [0.0, np.nextafter(1.0, 0.0), 1.0 - 2.0**-40, 2.0**-60, 0.25, 0.5, 0.75]
+    for u in (np.array(edges), np.concatenate([edges, np.random.default_rng(7).random(5000)])):
+        assert law.invert(u).tobytes() == inverted_by_the_where_loop(law, u).tobytes()
+    # the cosine CDF computed in one buffer keeps the bits of its expression
+    x = np.concatenate([edges, np.random.default_rng(8).random(1000)])
+    if law.form == "cosine":
+        k = law.frequency
+        expected = x + law.amplitude * np.sin(2.0 * np.pi * k * x) / (2.0 * np.pi * k)
+        assert law.cdf(x).tobytes() == expected.tobytes()
