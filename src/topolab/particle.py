@@ -24,7 +24,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .kernels import Kernel
 from .ranks import Configuration, draw_index, partner_distribution, rank_cdf
@@ -189,8 +188,11 @@ def master_equation_law(
     Builds the jump generator on the label state space (partner adoption
     i <- j at rate pi[i, j], positions fixed) and applies its matrix
     exponential to the initial point mass.  Refuses state spaces larger than
-    256 to stay an honest brute-force oracle.
+    256 to stay an honest brute-force oracle.  scipy is imported here, so
+    that no other path of topolab loads it.
     """
+    from scipy.linalg import expm
+
     n = config.n
     labels0 = np.asarray(labels0, dtype=np.int64)
     if labels0.shape != (n,):

@@ -40,10 +40,10 @@ def assert_partner_is_stable_argsort(config: Configuration) -> None:
 
 
 @st.composite
-def configurations(draw) -> Configuration:
-    """2 to 64 particles in d = 1 or 2: free floats (with repeats) or the 1/16 lattice."""
+def configurations(draw, max_n: int = 64) -> Configuration:
+    """2 to max_n particles in d = 1 or 2: free floats (with repeats) or the 1/16 lattice."""
     d = draw(st.sampled_from([1, 2]))
-    n = draw(st.integers(2, 64))
+    n = draw(st.integers(2, max_n))
     if draw(st.booleans()):
         return lattice_config(n, d)
     coords = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, 0.25, 0.5, 0.75])
@@ -54,6 +54,18 @@ def configurations(draw) -> Configuration:
 @given(configurations())
 def test_partner_at_rank_is_stable_argsort(config):
     assert_partner_is_stable_argsort(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(configurations(max_n=200))
+def test_rank_vector_inverts_the_stable_argsort(config):
+    # numpy's default sort reorders ties once it holds more than a few
+    # entries, so the sizes reach past that
+    for i in range(config.n):
+        dist = torus.distances_from(config.positions, config.positions[i])
+        dist[i] = -1.0
+        order = np.argsort(dist, kind="stable")
+        assert np.array_equal(rank_vector(config, i)[order], np.arange(config.n))
 
 
 @pytest.mark.parametrize("d", [1, 2])
