@@ -41,7 +41,7 @@ _TRIALS_SCHEMA = "topolab.trials.v1"
 _AGGREGATE_SCHEMA = "topolab.aggregate.v1"
 _EVENTS_SCHEMA = "topolab.events.v1"
 _SNAPSHOTS_SCHEMA = "topolab.snapshots.v1"
-_CSV_BLOCK = 1024  # snapshot rows formatted per write
+_CSV_BLOCK = 1024  # CSV rows formatted per write
 
 
 class ConfigError(ValueError):
@@ -337,7 +337,7 @@ def kinetic_solution(config: ExperimentConfig, out_dir: Path | None) -> KineticS
         tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                np.savez_compressed(
+                np.savez(
                     fh,
                     times=solution.times,
                     values=np.stack([s.values for s in solution.snapshots]),
@@ -474,28 +474,31 @@ def rate_fit(n_values: np.ndarray, means: np.ndarray) -> RateFit:
 # -- CSV writers and readers --------------------------------------------------------
 
 
+def _write_rows(fh, row: str, columns: list[np.ndarray]) -> None:
+    """Write one `row % values` line per entry of the equal-length columns.
+
+    "%.12g" is `_fmt`: CPython formats both through the same routine.  A block
+    of `_CSV_BLOCK` rows is one `%` on the repeated row, with the columns'
+    slices interleaved into its arguments, so no whole column is ever held as
+    Python objects.
+    """
+    width, rows = len(columns), len(columns[0]) if columns else 0
+    for lo in range(0, rows, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, rows)
+        args = [None] * (width * (hi - lo))
+        for c, col in enumerate(columns):
+            args[c::width] = col[lo:hi].tolist()
+        fh.write(row * (hi - lo) % tuple(args))
+
+
 def write_trials_csv(path: Path, n: int, records: list[TrialRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema={_TRIALS_SCHEMA} n={n}\n")
         fh.write("trial,t,d_n,tv_estimate,joint_count,z_only_count,sigma_only_count,lln_diag,rescale_mag\n")
-        for trial, rec in enumerate(records):
-            for k in range(len(rec.times)):
-                fh.write(
-                    ",".join(
-                        [
-                            str(trial),
-                            _fmt(rec.times[k]),
-                            _fmt(rec.d_n[k]),
-                            _fmt(rec.tv[k]),
-                            str(int(rec.joint[k])),
-                            str(int(rec.z_only[k])),
-                            str(int(rec.sigma_only[k])),
-                            _fmt(rec.lln[k]),
-                            _fmt(rec.rescale_mean[k]),
-                        ]
-                    )
-                    + "\n"
-                )
+        fields = ("times", "d_n", "tv", "joint", "z_only", "sigma_only", "lln", "rescale_mean")
+        trial = np.repeat(np.arange(len(records)), [len(rec.times) for rec in records])
+        columns = [np.concatenate([getattr(rec, f) for rec in records]) for f in fields]
+        _write_rows(fh, "%d,%.12g,%.12g,%.12g,%d,%d,%d,%.12g,%.12g\n", [trial, *columns])
 
 
 def _open_study_file(path: Path):
@@ -527,10 +530,8 @@ def write_aggregate_csv(path: Path, rows: list[tuple]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema={_AGGREGATE_SCHEMA}\n")
         fh.write("n,t,mean_d_n,stderr,bound\n")
-        for n, t, mean, stderr, bound in rows:
-            fh.write(
-                f"{n},{_fmt(t)},{_fmt(mean)},{_fmt(stderr)},{_fmt(bound)}\n"
-            )
+        columns = [np.array(col) for col in zip(*rows)]
+        _write_rows(fh, "%d,%.12g,%.12g,%.12g,%.12g\n", columns)
 
 
 def read_aggregate_csv(path: Path) -> np.ndarray:
@@ -549,10 +550,8 @@ def write_events_csv(path: Path, trajectory: Trajectory) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema={_EVENTS_SCHEMA}\n")
         fh.write("t,i,j\n")
-        for t, i, j in zip(
-            trajectory.event_times, trajectory.event_focal, trajectory.event_partner
-        ):
-            fh.write(f"{_fmt(t)},{i},{j}\n")
+        columns = [trajectory.event_times, trajectory.event_focal, trajectory.event_partner]
+        _write_rows(fh, "%.12g,%d,%d\n", columns)
 
 
 def write_snapshots_csv(path: Path, trajectory: Trajectory, dimension: int) -> None:
@@ -560,16 +559,11 @@ def write_snapshots_csv(path: Path, trajectory: Trajectory, dimension: int) -> N
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema={_SNAPSHOTS_SCHEMA}\n")
         fh.write("t,particle," + ",".join(cols) + "\n")
-        # "{:.12g}" is `_fmt`.  Rows go out in blocks, so the text of a whole
-        # snapshot is never held at once.
-        row = ",{}," + ",".join(["{:.12g}"] * (2 * dimension)) + "\n"
+        row = ",%d," + ",".join(["%.12g"] * (2 * dimension)) + "\n"
         for t in sorted(trajectory.snapshots):
             snap = trajectory.snapshots[t]
-            fmt = (_fmt(t) + row).format
-            values = np.hstack([snap.positions, snap.velocities])
-            for lo in range(0, snap.n, _CSV_BLOCK):
-                block = values[lo : lo + _CSV_BLOCK].tolist()
-                fh.write("".join([fmt(p, *vals) for p, vals in enumerate(block, lo)]))
+            values = [np.arange(snap.n), *snap.positions.T, *snap.velocities.T]
+            _write_rows(fh, _fmt(t) + row, values)
 
 
 # -- full convergence study ----------------------------------------------------------

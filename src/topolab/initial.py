@@ -8,6 +8,7 @@ particle dynamics never leaves the initial atom alphabet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 from .ranks import Configuration
 
 _BISECTION_STEPS = 60
+_NEWTON_STEPS = 40  # a cap only: entries still moving then are caught by the bracket check
 
 
 class InitialLawError(ValueError):
@@ -99,18 +101,78 @@ class PositionLaw:
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return self.invert(rng.random(size))
 
-    def invert(self, u: np.ndarray) -> np.ndarray:
-        """The points whose CDF is u, by elementwise bisection: any batch keeps each entry's bits.
+    def density_floor(self) -> float:
+        """A lower bound of the density; 0 where none is known."""
+        if self.form == "cosine":
+            return 1.0 - abs(self.amplitude)
+        if self.form == "two_mode":
+            return 1.0 - abs(self.amplitude) - abs(self.amplitude2)
+        return 0.0
 
-        The bracket moves in place and without branches: with b = [cdf(mid) < u]
-        as 0 or 1, (max(lo, b mid), min(hi, mid + 2 b)) is (mid, hi) where b is
-        1 and (lo, mid) where it is 0.
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """The points whose CDF is u: the bits of a 60-step bisection of [0, 1], entry by entry.
+
+        With a density floor rho > 0 the first k = floor(44 + log2 rho) steps
+        are skipped.  Between neighbouring multiples of 2^-k the exact CDF
+        rises by at least rho 2^-k >= 2^-44, dozens of times the few ulp of 1
+        by which the computed CDF is off, so the computed CDF is increasing on
+        that grid.  The cell [lo, lo + 2^-k] with (lo = 0 or cdf(lo) < u) and
+        (lo + 2^-k = 1 or cdf(lo + 2^-k) >= u) is then unique, and it is the
+        bracket the bisection holds after k steps, with the same exact dyadic
+        ends.  The last 60 - k steps run from the cell `_bracket` finds;
+        entries whose cell fails the check run all 60 steps.
         """
         if self.form == "uniform":
             return u
-        lo, hi, mid, step = np.zeros(u.shape), np.ones(u.shape), np.empty(u.shape), np.empty(u.shape)
+        floor = self.density_floor()
+        k = math.floor(44.0 + math.log2(floor)) if floor > 0.0 else 0
+        if k < 1:
+            return self._bisect(u, np.zeros(u.shape), np.ones(u.shape), _BISECTION_STEPS)
+        lo, held = self._bracket(u, k)
+        x = self._bisect(u, lo, lo + 2.0**-k, _BISECTION_STEPS - k)
+        missed = np.flatnonzero(~held)
+        if missed.size:
+            x[missed] = self._bisect(u[missed], np.zeros(missed.size), np.ones(missed.size), _BISECTION_STEPS)
+        return x
+
+    def _bracket(self, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The lower ends lo of the level-k cells that hold the roots, and where both ends check.
+
+        Newton's method from x = u runs until every step is far below 2^-k.
+        The cell that holds x moves up by one where cdf(lo + 2^-k) < u, and
+        down where cdf(lo) >= u; then both ends are checked again.
+        """
+        x, active = u.copy(), np.arange(u.size)
+        for _ in range(_NEWTON_STEPS):
+            xa = x[active]
+            step = self.cdf(xa)
+            step -= u[active]
+            step /= self.pdf(xa)
+            x[active] = np.clip(xa - step, 0.0, 1.0)
+            active = active[np.abs(step) >= 2.0 ** -(k + 4)]
+            if not active.size:
+                break
+        h = 2.0**-k
+
+        def ends_hold(lo):  # (lo = 0 or cdf(lo) < u), (lo + h = 1 or cdf(lo + h) >= u)
+            hi = lo + h
+            return (lo == 0.0) | (self.cdf(lo) < u), (hi == 1.0) | (self.cdf(hi) >= u)
+
+        lo = np.minimum(np.floor(x * 2.0**k), 2.0**k - 1.0) * h
+        low, high = ends_hold(lo)
+        lo += h * ~high - h * ~low
+        low, high = ends_hold(lo)
+        return lo, low & high
+
+    def _bisect(self, u: np.ndarray, lo: np.ndarray, hi: np.ndarray, steps: int) -> np.ndarray:
+        """`steps` bisections of the brackets [lo, hi], which move in place and without branches.
+
+        With b = [cdf(mid) < u] as 0 or 1, (max(lo, b mid), min(hi, mid + 2 b))
+        is (mid, hi) where b is 1 and (lo, mid) where it is 0.
+        """
+        mid, step = np.empty(u.shape), np.empty(u.shape)
         below = np.empty(u.shape, dtype=bool)
-        for _ in range(_BISECTION_STEPS):
+        for _ in range(steps):
             np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
             np.less(self.cdf(mid), u, out=below)
             np.maximum(lo, np.multiply(mid, below, out=step), out=lo)

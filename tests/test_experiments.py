@@ -546,6 +546,68 @@ def test_snapshot_rows_match_the_per_particle_format(tmp_path):
     assert (tmp_path / "s.csv").read_text().split("\n") == expected + [""]
 
 
+def csv_lines(path: Path) -> list[str]:
+    return path.read_text().split("\n")
+
+
+@pytest.mark.parametrize("m", [0, 1, experiments._CSV_BLOCK + 2])
+def test_event_rows_match_the_per_event_format(tmp_path, m):
+    from topolab.particle import Trajectory
+
+    rng = np.random.default_rng(m)
+    times = np.sort(rng.uniform(0.0, 2.0, m))
+    times[:1] = 1e-17
+    focal, partner = rng.integers(0, 2**40, m), rng.integers(0, 9, m)
+    experiments.write_events_csv(tmp_path / "e.csv", Trajectory(times, focal, partner))
+    fmt = experiments._fmt
+    rows = [f"{fmt(t)},{i},{j}" for t, i, j in zip(times, focal, partner)]
+    expected = [f"# schema={experiments._EVENTS_SCHEMA}", "t,i,j", *rows, ""]
+    assert csv_lines(tmp_path / "e.csv") == expected
+
+
+def test_trial_rows_match_the_per_value_format(tmp_path):
+    # without tv_edges a trial's tv_estimate is NaN
+    from topolab.coupling import run_coupled_trial
+    from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
+    from topolab.kernels import Kernel
+
+    law = InitialLaw((PositionLaw.uniform(),), VelocityLaw.two_point())
+    reference = UniformReference(law.velocity)
+    records = [
+        run_coupled_trial(Kernel.linear(), reference, sample_initial(law, 16, s), 0.5,
+                          np.random.default_rng(s), (0.125, 0.25, 0.5))
+        for s in range(3)
+    ]
+    assert np.isnan(records[0].tv).all()
+    experiments.write_trials_csv(tmp_path / "t.csv", 16, records)
+    fmt = experiments._fmt
+    expected = [f"# schema={experiments._TRIALS_SCHEMA} n=16",
+                "trial,t,d_n,tv_estimate,joint_count,z_only_count,sigma_only_count,lln_diag,rescale_mag"]
+    for trial, rec in enumerate(records):
+        for k in range(len(rec.times)):
+            expected.append(
+                f"{trial},{fmt(rec.times[k])},{fmt(rec.d_n[k])},{fmt(rec.tv[k])},{int(rec.joint[k])},"
+                f"{int(rec.z_only[k])},{int(rec.sigma_only[k])},{fmt(rec.lln[k])},{fmt(rec.rescale_mean[k])}"
+            )
+    assert csv_lines(tmp_path / "t.csv") == expected + [""]
+
+
+def test_aggregate_rows_match_the_per_value_format(tmp_path):
+    # a large growth constant times t overflows exp: the bound is inf
+    from topolab.coupling import decoupling_bound
+    from topolab.kernels import Kernel
+
+    kernel = Kernel.linear()
+    rows = [(n, t, 1.0 / n / 3.0, 0.0 if n == 8 else 1e-17, decoupling_bound(kernel, n, t))
+            for n in (8, 2048) for t in (0.25, 1e3)]
+    assert rows[1][4] == float("inf")
+    experiments.write_aggregate_csv(tmp_path / "a.csv", rows)
+    fmt = experiments._fmt
+    expected = [f"# schema={experiments._AGGREGATE_SCHEMA}", "n,t,mean_d_n,stderr,bound"]
+    expected += [f"{n},{fmt(t)},{fmt(mean)},{fmt(se)},{fmt(bound)}" for n, t, mean, se, bound in rows]
+    assert csv_lines(tmp_path / "a.csv") == expected + [""]
+
+
 def test_a_study_starts_one_pool_for_all_sizes(tmp_path, monkeypatch):
     started = []
 

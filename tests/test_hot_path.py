@@ -14,7 +14,7 @@ import pytest
 from test_coupling import kinetic_reference
 
 from topolab import coupling, ranks, torus
-from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
+from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial, sample_initials
 from topolab.kernels import Kernel
 from topolab.particle import simulate
 from topolab.ranks import Configuration
@@ -131,3 +131,20 @@ def test_a_lookup_takes_few_probes_on_a_lattice(monkeypatch, n):
     config = Configuration(sites, np.array([-1.0, 0.0, 1.0])[np.arange(n) % 3])
     probes = probes_per_lookup(monkeypatch, config, (0.0, 1.0 / 16, 0.5), 300, 5)
     assert max(probes) <= 8 and np.mean(probes) <= 5
+
+
+def test_initial_positions_take_few_cdf_passes(monkeypatch):
+    # the 60-step bisection evaluates the CDF 60 times; starting from the
+    # bracket of step 43 it takes 17, after 5 Newton steps and 4 end checks
+    calls = Counter()
+    cdf = PositionLaw.cdf
+
+    def counted(self, x):
+        calls["cdf"] += 1
+        return cdf(self, x)
+
+    monkeypatch.setattr(PositionLaw, "cdf", counted)
+    for seed in (1, 2):
+        calls.clear()
+        sample_initials(LAW, 8192, [seed])
+        assert calls["cdf"] <= 30

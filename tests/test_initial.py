@@ -1,7 +1,14 @@
+import math
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from topolab import initial
 from topolab.initial import (
     InitialLaw,
     InitialLawError,
@@ -163,3 +170,55 @@ def test_inversion_in_place_keeps_the_bits_of_the_where_loop(law):
         k = law.frequency
         expected = x + law.amplitude * np.sin(2.0 * np.pi * k * x) / (2.0 * np.pi * k)
         assert law.cdf(x).tobytes() == expected.tobytes()
+
+
+def bracket_level(law: PositionLaw) -> int:
+    """The bisection step the inversion starts from: floor(44 + log2 of the density floor)."""
+    floor = law.density_floor()
+    return math.floor(44.0 + math.log2(floor)) if floor > 0.0 else 43
+
+
+position_laws = st.one_of(
+    st.builds(
+        PositionLaw.cosine,
+        st.sampled_from([0.3, -0.5, 0.9, 0.999]),
+        st.integers(min_value=1, max_value=5),
+    ),
+    st.builds(
+        PositionLaw.two_mode,
+        st.floats(-0.6, 0.6),
+        st.floats(-0.39, 0.39),
+    ),
+    st.just(PositionLaw.bump()),
+    st.just(PositionLaw.uniform()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    law=position_laws,
+    cells=st.lists(st.integers(min_value=0, max_value=2**44), max_size=40),
+    draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+    newton_steps=st.sampled_from([0, 2, None]),
+)
+def test_inversion_keeps_the_bits_of_the_bisection(law, cells, draws, newton_steps):
+    # u at the CDF of the level-k grid puts the root on a cell end, so the
+    # one-cell move runs; with the Newton steps cut short the bracket check
+    # fails and the full bisection runs
+    k = bracket_level(law)
+    on_grid = law.cdf(np.array([j % 2**k for j in cells], dtype=float) * 2.0**-k)
+    u = np.concatenate([[0.0, 2.0**-60, 1.0 - 2.0**-53], on_grid[on_grid < 1.0], draws])
+    expected = u if law.form == "uniform" else inverted_by_the_where_loop(law, u)
+    calls = Counter()
+    cdf = PositionLaw.cdf
+
+    def counted(self, x):
+        calls["cdf"] += 1
+        return cdf(self, x)
+
+    steps = initial._NEWTON_STEPS if newton_steps is None else newton_steps
+    with mock.patch.object(initial, "_NEWTON_STEPS", steps), mock.patch.object(PositionLaw, "cdf", counted):
+        assert law.invert(u).tobytes() == expected.tobytes()
+    if newton_steps is None and law.density_floor() > 0.0:
+        # every bracket held: no entry ran all 60 steps
+        assert calls["cdf"] < 60
