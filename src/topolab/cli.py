@@ -16,12 +16,12 @@ from pathlib import Path
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    density_to_csv,
     kinetic_solution,
     run_convergence,
     run_particle_simulation,
     run_single_coupled,
 )
-from .kinetic import density_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

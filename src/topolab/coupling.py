@@ -43,7 +43,7 @@ that drive it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,7 +217,6 @@ class CouplingDiagnostics:
     sigma_atom: int = 0
     fresh_draw: int = 0
     rescale_sum: float = 0.0
-    partner_ranks: list = field(default_factory=list)
 
     @property
     def events(self) -> int:
@@ -251,7 +250,6 @@ def coupled_event(
     ranks_cdf: list[float],
     draws: Draws,
     diag: CouplingDiagnostics,
-    record_ranks: bool = False,
 ) -> None:
     """One clock ring at time ``state.t``: joint maximal-coupling jump or one-sided completion.
 
@@ -265,8 +263,6 @@ def coupled_event(
     i = next(draws.focals)
     h = draw_index(next(draws.uniforms), ranks_cdf)
     j = state.z.partner_at_rank(i, h, t)
-    if record_ranks:
-        diag.partner_ranks.append(h)
 
     pi_n_j, pi_rho_j = pair_rates(state, kernel, reference, alpha, i, j, h)
     v_z = state.z.velocities[j].tolist()
@@ -347,105 +343,6 @@ def lln_diagnostic(config: Configuration, reference: Reference, t: float) -> flo
     return float(np.mean(np.abs(empirical - ref)))
 
 
-# -- marginal exactness report ------------------------------------------------------
-
-
-@dataclass
-class MarginalReport:
-    """Two-sample comparison between the coupled Z world and the standalone process."""
-
-    total_events: int
-    rank_pvalue: float
-    velocity_pvalues: dict[float, float]
-    event_count_pvalue: float
-
-    def passed(self, significance: float = 0.01) -> bool:
-        return (
-            self.rank_pvalue > significance
-            and all(p > significance for p in self.velocity_pvalues.values())
-            and self.event_count_pvalue > significance
-        )
-
-
-def z_marginal_report(
-    kernel: Kernel,
-    law,
-    n: int,
-    horizon: float,
-    trials: int,
-    reference: Reference,
-    seed: int,
-    probe_times: tuple[float, ...] = (0.5, 1.0),
-    tail_rank: int | None = None,
-) -> MarginalReport:
-    """Distributional comparison of the coupled Z component with the plain simulator.
-
-    The Z marginal is exact by construction (the partner is drawn from the
-    rank probabilities before any coupling decision), so this is a check of
-    the implementation: partner-rank frequencies, positive-velocity counts
-    at the probe times, and per-trial event counts are compared.  Ranks past
-    ``tail_rank`` are merged into one bucket because the kernel weight
-    vanishes toward the top rank.
-
-    Both runs of a trial start from the same initial configuration, so each
-    trial gives one paired difference of positive-velocity counts (coupled
-    minus standalone) per probe time, and a paired t-test asks whether their
-    mean is 0.  The signs within one trajectory are correlated (jumps copy
-    velocities), but the trials are i.i.d., so the test keeps its level.
-    """
-    from scipy import stats
-
-    from .initial import sample_initial
-    from .particle import simulate
-
-    coupled_ranks, standalone_ranks = [], []
-    coupled_counts, standalone_counts = [], []
-    coupled_plus: dict[float, list[int]] = {t: [] for t in probe_times}
-    standalone_plus: dict[float, list[int]] = {t: [] for t in probe_times}
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)))
-        initial = sample_initial(law, n, np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))
-        rec = run_coupled_trial(
-            kernel, reference, initial, horizon, rng, probe_times,
-            record_ranks=True, record_z_snapshots=True,
-        )
-        coupled_ranks.append(rec.partner_ranks)
-        coupled_counts.append(rec.event_count)
-        for t in probe_times:
-            coupled_plus[t].append(int(np.sum(rec.z_snapshots[t].velocities > 0)))
-
-        rng2 = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 2)))
-        traj = simulate(
-            kernel, initial, horizon, rng2, probe_times, record_events=False, record_ranks=True
-        )
-        standalone_ranks.append(traj.event_rank)
-        standalone_counts.append(traj.event_count)
-        for t in probe_times:
-            standalone_plus[t].append(int(np.sum(traj.snapshots[t].velocities > 0)))
-
-    a = np.bincount(np.concatenate(coupled_ranks), minlength=n)[1:]
-    b = np.bincount(np.concatenate(standalone_ranks), minlength=n)[1:]
-    cut = tail_rank if tail_rank is not None else max(2, int(0.8 * (n - 1)))
-    table = np.stack(
-        [np.concatenate([a[:cut], [a[cut:].sum()]]), np.concatenate([b[:cut], [b[cut:].sum()]])]
-    )
-    rank_pvalue = float(stats.chi2_contingency(table).pvalue)
-
-    velocity_pvalues = {}
-    for t in probe_times:
-        diff = np.subtract(coupled_plus[t], standalone_plus[t])
-        # identical counts in every trial leave nothing to reject (the t statistic is 0/0)
-        velocity_pvalues[t] = float(stats.ttest_1samp(diff, 0.0).pvalue) if diff.any() else 1.0
-
-    count_pvalue = float(stats.mannwhitneyu(coupled_counts, standalone_counts).pvalue)
-    return MarginalReport(
-        total_events=int(sum(coupled_counts) + sum(standalone_counts)),
-        rank_pvalue=rank_pvalue,
-        velocity_pvalues=velocity_pvalues,
-        event_count_pvalue=count_pvalue,
-    )
-
-
 # -- trial runner -----------------------------------------------------------------
 
 
@@ -463,8 +360,6 @@ class TrialRecord:
     fresh: np.ndarray
     rescale_mean: np.ndarray
     event_count: int
-    partner_ranks: np.ndarray
-    z_snapshots: dict[float, Configuration] | None = None
 
 
 def run_coupled_trial(
@@ -475,8 +370,6 @@ def run_coupled_trial(
     rng: np.random.Generator,
     snapshot_times: tuple[float, ...],
     tv_edges: tuple[np.ndarray, np.ndarray] | None = None,
-    record_ranks: bool = False,
-    record_z_snapshots: bool = False,
 ) -> TrialRecord:
     """One coupled trajectory from the delta coupling, sampled at snapshot times.
 
@@ -488,13 +381,10 @@ def run_coupled_trial(
     draws = Draws(rng, initial.n)
     diag = CouplingDiagnostics()
     rows: list[tuple] = []
-    z_snapshots: dict[float, Configuration] = {}
 
     def snapshot(s: float) -> None:
         z_now = state.z.transported(s)
         sigma_now = state.sigma.transported(s)
-        if record_z_snapshots:
-            z_snapshots[s] = z_now
         tv = tv_estimate(z_now, reference, s, *tv_edges) if tv_edges is not None else float("nan")
         rows.append(
             (
@@ -511,7 +401,7 @@ def run_coupled_trial(
         )
 
     def event(t: float) -> None:
-        coupled_event(state, kernel, reference, ranks_cdf, draws, diag, record_ranks=record_ranks)
+        coupled_event(state, kernel, reference, ranks_cdf, draws, diag)
 
     run_clock(horizon, draws.gaps, snapshot_times, state.transport, snapshot, event)
     cols = list(zip(*rows)) if rows else [[] for _ in range(9)]
@@ -526,6 +416,4 @@ def run_coupled_trial(
         fresh=np.asarray(cols[7], dtype=np.int64),
         rescale_mean=np.asarray(cols[8]),
         event_count=diag.events,
-        partner_ranks=np.asarray(diag.partner_ranks, dtype=np.int64),
-        z_snapshots=z_snapshots if record_z_snapshots else None,
     )

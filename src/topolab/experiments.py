@@ -41,6 +41,7 @@ _TRIALS_SCHEMA = "topolab.trials.v1"
 _AGGREGATE_SCHEMA = "topolab.aggregate.v1"
 _EVENTS_SCHEMA = "topolab.events.v1"
 _SNAPSHOTS_SCHEMA = "topolab.snapshots.v1"
+_DENSITY_SCHEMA = "topolab.grid-density.v1"
 _CSV_BLOCK = 1024  # CSV rows formatted per write
 
 
@@ -564,6 +565,14 @@ def write_snapshots_csv(path: Path, trajectory: Trajectory, dimension: int) -> N
             snap = trajectory.snapshots[t]
             values = [np.arange(snap.n), *snap.positions.T, *snap.velocities.T]
             _write_rows(fh, _fmt(t) + row, values)
+
+
+def density_to_csv(f: GridDensity, path) -> None:
+    """One row of nv values per x cell, each printed to 17 significant digits ("%.17g")."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# schema={_DENSITY_SCHEMA}\n")
+        fh.write(f"# nx={f.grid.nx} nv={f.grid.nv} v_max={f.grid.v_max!r} t={f.t!r}\n")
+        _write_rows(fh, ",".join(["%.17g"] * f.grid.nv) + "\n", list(f.values.T))
 
 
 # -- full convergence study ----------------------------------------------------------

@@ -201,18 +201,14 @@ def ball_mass_between(
     return cdf(center + r) - cdf(center - r)
 
 
-def gain_weights(
-    mass_fn: MassFunction, grid: PhaseGrid, kernel: Kernel, quad_scale: float = 1.0, weights=None
-) -> np.ndarray:
+def gain_weights(mass_fn: MassFunction, grid: PhaseGrid, kernel: Kernel, weights=None) -> np.ndarray:
     """Quadrature matrix W[i, j] = K(m(x_i, dist(x_i, x_j))) * dx, over ``weights`` if given.
 
     dist is k <= nx // 2 whole cells, so row i of W is the nx-periodic row
     P_i[m] = half[i, min(m, nx - m)] turned right by i, for half = K(M) dx and
     M of `MassFunction.center_windows`.  W is written by blocks of rows, each
     read from a block of P with a view that starts one column further left
-    on each row; half and P are held for one block only.  ``quad_scale``
-    perturbs the quadrature weight; it exists so oracle checks can
-    demonstrate they detect a miscalibrated weight, and is 1 in real use.
+    on each row; half and P are held for one block only.
     """
     nx, width = grid.nx, grid.nx // 2 + 1
     block = min(nx, max(1, (1 << 15) // nx))  # so a block of rows, about 256 kB, stays in cache
@@ -224,7 +220,7 @@ def gain_weights(
         b = min(a + block, nx)
         half = np.subtract(outer[a:b], inner[a:b], out=half_rows[: b - a])
         kernel(half, out=half)
-        half *= grid.dx * quad_scale
+        half *= grid.dx
         rows = rows_buf[: b - a]  # rows[r, c] = P_{a+r}[(c - block) mod nx]
         rows[:, block : block + width] = half
         rows[:, block + width :] = half[:, nx - width : 0 : -1]
@@ -238,22 +234,19 @@ def gain_weights(
 def gain(f: GridDensity, kernel: Kernel, weights: np.ndarray | None = None) -> np.ndarray:
     """Gain term G[x][v] of the collision operator for the current density."""
     rho = f.density()
-    weights = gain_weights(MassFunction(edge_cdf(rho, f.grid.dx)), f.grid, kernel, 1.0, weights)
+    weights = gain_weights(MassFunction(edge_cdf(rho, f.grid.dx)), f.grid, kernel, weights)
     return rho[:, None] * (weights @ f.values)
 
 
-def coarea_check(
-    f: GridDensity, kernel: Kernel, signed: bool = False, quad_scale: float = 1.0
-) -> np.ndarray:
-    """Per-x defect of the discrete coarea identity sum_y K(m(x,d)) rho(y) dx = 1.
+def coarea_check(f: GridDensity, kernel: Kernel) -> np.ndarray:
+    """Signed per-x defect of the discrete coarea identity sum_y K(m(x,d)) rho(y) dx = 1.
 
     Uses the same quadrature as `gain`, so rho times this residual is exactly
     the spurious spatial mass flux of one collision application.
     """
     rho = f.density()
-    weights = gain_weights(MassFunction(edge_cdf(rho, f.grid.dx)), f.grid, kernel, quad_scale)
-    residual = weights @ rho - 1.0
-    return residual if signed else np.abs(residual)
+    weights = gain_weights(MassFunction(edge_cdf(rho, f.grid.dx)), f.grid, kernel)
+    return weights @ rho - 1.0
 
 
 def transport(values: np.ndarray, grid: PhaseGrid, dt: float) -> np.ndarray:
@@ -374,18 +367,3 @@ def l1_distance(a: GridDensity, b: GridDensity) -> float:
     if a.grid != b.grid:
         raise ValueError("densities live on different grids")
     return float(np.abs(a.values - b.values).sum()) * a.grid.dx * a.grid.dv
-
-
-# -- serialization --------------------------------------------------------------
-
-_DENSITY_SCHEMA = "topolab.grid-density.v1"
-
-
-def density_to_csv(f: GridDensity, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema={_DENSITY_SCHEMA}\n")
-        fh.write(
-            f"# nx={f.grid.nx} nv={f.grid.nv} v_max={f.grid.v_max!r} t={f.t!r}\n"
-        )
-        for row in f.values:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

@@ -42,7 +42,6 @@ class Trajectory:
     snapshots: dict[float, Configuration] = field(default_factory=dict)
     final: Configuration | None = None
     event_count: int = 0
-    event_rank: np.ndarray | None = None
 
 
 def categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -114,8 +113,6 @@ def simulate(
     rng: np.random.Generator,
     snapshot_times: tuple[float, ...] = (),
     frozen_positions: bool = False,
-    record_events: bool = True,
-    record_ranks: bool = False,
 ) -> Trajectory:
     """Exact realization of the jump process up to the horizon.
 
@@ -135,8 +132,6 @@ def simulate(
     times: list[float] = []
     focals: list[int] = []
     partners: list[int] = []
-    ranks_log: list[int] = []
-    count = 0
     cdf = rank_cdf(kernel, n)
 
     def positions(t: float) -> Configuration:
@@ -146,19 +141,14 @@ def simulate(
         snapshots[s] = positions(s)
 
     def event(t: float) -> None:
-        nonlocal count
         i = next(draws.focals)
         h = draw_index(next(draws.uniforms), cdf)
         at = 0.0 if frozen_positions else t
         j = lookup.partner_at_rank(i, h, at)
         state.set_velocity(i, state.velocities[j].tolist(), at)
-        count += 1
-        if record_events:
-            times.append(t)
-            focals.append(i)
-            partners.append(j)
-        if record_ranks:
-            ranks_log.append(h)
+        times.append(t)
+        focals.append(i)
+        partners.append(j)
 
     run_clock(horizon, draws.gaps, snapshot_times, lambda gap: None, snapshot, event)
     return Trajectory(
@@ -167,8 +157,7 @@ def simulate(
         event_partner=np.asarray(partners, dtype=np.int64),
         snapshots=snapshots,
         final=positions(horizon),
-        event_count=count,
-        event_rank=np.asarray(ranks_log, dtype=np.int64) if record_ranks else None,
+        event_count=len(times),
     )
 
 

@@ -6,22 +6,22 @@ n = 2048 and takes a few minutes; everything else is seconds.
 """
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
+from test_coupling import logged_draws, logged_tv_estimate
 
-from topolab.coupling import (
-    SolutionReference,
-    lln_diagnostic,
-    z_marginal_report,
-)
+from topolab import coupling, particle
+from topolab.coupling import SolutionReference, lln_diagnostic, run_coupled_trial
 from topolab.experiments import ExperimentConfig, run_convergence
-from topolab.initial import InitialLaw, PositionLaw, VelocityLaw
+from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
 from topolab.kernels import Kernel, preset_kernels, rate_normalization, riemann_error
 from topolab.kinetic import PhaseGrid, coarea_check, initial_density, l1_distance, solve
 from topolab.particle import label_states, master_equation_law, simulate, total_variation
-from topolab.ranks import Configuration, normalized_ranks, partner_distribution
+from topolab.ranks import Configuration, draw_index, normalized_ranks, partner_distribution
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -82,7 +82,7 @@ def test_criterion_3_coarea_identity():
         res = {}
         for nx in (512, 1024):
             f0 = initial_density(law, PhaseGrid(nx=nx, nv=5, v_max=1.25))
-            res[nx] = float(np.max(coarea_check(f0, kernel)))
+            res[nx] = float(np.max(np.abs(coarea_check(f0, kernel))))
         worst = max(worst, res[512])
         worst_ratio = max(worst_ratio, res[1024] / res[512])
     _report(
@@ -124,7 +124,7 @@ def test_criterion_5_master_equation_oracle():
     for seq in root.spawn(runs):
         initial = Configuration(positions.copy(), labels0.astype(float))
         rng = np.random.default_rng(seq)
-        traj = simulate(kernel, initial, 1.0, rng, frozen_positions=True, record_events=False)
+        traj = simulate(kernel, initial, 1.0, rng, frozen_positions=True)
         key = tuple(int(v) for v in traj.final.velocities[:, 0])
         counts[index[key]] += 1
     gap = total_variation(counts / runs, exact)
@@ -133,6 +133,112 @@ def test_criterion_5_master_equation_oracle():
         "master-equation oracle",
         gap <= 0.01,
         f"TV(simulator law, matrix-exponential law) = {gap:.4f} over {runs} runs (tol 0.01)",
+    )
+
+
+@dataclass
+class MarginalReport:
+    """Two-sample comparison between the coupled Z world and the standalone process."""
+
+    total_events: int
+    rank_pvalue: float
+    velocity_pvalues: dict[float, float]
+    event_count_pvalue: float
+
+    def passed(self, significance: float = 0.01) -> bool:
+        return (
+            self.rank_pvalue > significance
+            and all(p > significance for p in self.velocity_pvalues.values())
+            and self.event_count_pvalue > significance
+        )
+
+
+def z_marginal_report(
+    kernel: Kernel,
+    law: InitialLaw,
+    n: int,
+    horizon: float,
+    trials: int,
+    reference: SolutionReference,
+    seed: int,
+    probe_times: tuple[float, ...] = (0.5, 1.0),
+    tail_rank: int | None = None,
+) -> MarginalReport:
+    """Distributional comparison of the coupled Z component with the plain simulator.
+
+    The Z marginal is exact by construction (the partner is drawn from the
+    rank probabilities before any coupling decision), so this is a check of
+    the implementation: partner-rank frequencies, positive-velocity counts
+    at the probe times, and per-trial event counts are compared.  Ranks past
+    ``tail_rank`` are merged into one bucket because the kernel weight
+    vanishes toward the top rank.
+
+    Both runs of a trial start from the same initial configuration, so each
+    trial gives one paired difference of positive-velocity counts (coupled
+    minus standalone) per probe time, and a paired t-test asks whether their
+    mean is 0.  The signs within one trajectory are correlated (jumps copy
+    velocities), but the trials are i.i.d., so the test keeps its level.
+
+    Both runs are the shipped ones.  Their ranks are logged by wrapping the
+    `draw_index` that each event calls (`particle.categorical` calls
+    `particle.draw_index` too, so that one is wrapped around `simulate`
+    only), and the coupled run's Z configuration at a probe time is taken
+    from the `tv_estimate` it is handed to.
+    """
+    coupled_ranks: list[int] = []
+    standalone_ranks: list[int] = []
+    coupled_counts, standalone_counts = [], []
+    coupled_plus: dict[float, list[int]] = {t: [] for t in probe_times}
+    standalone_plus: dict[float, list[int]] = {t: [] for t in probe_times}
+    z_snapshots: list[tuple[float, Configuration]] = []
+    tv_edges = (np.linspace(0.0, 1.0, 9), reference.grid.v_edges)
+    standalone_draw = logged_draws(draw_index, standalone_ranks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling, "draw_index", logged_draws(draw_index, coupled_ranks))
+        mp.setattr(coupling, "tv_estimate", logged_tv_estimate(z_snapshots))
+        for trial in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0)))
+            initial = sample_initial(law, n, np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)))
+            logged = len(coupled_ranks)
+            z_snapshots.clear()
+            rec = run_coupled_trial(kernel, reference, initial, horizon, rng, probe_times, tv_edges)
+            assert len(coupled_ranks) - logged == rec.event_count
+            assert [t for t, _ in z_snapshots] == sorted(probe_times)
+            coupled_counts.append(rec.event_count)
+            for t, z in z_snapshots:
+                coupled_plus[t].append(int(np.sum(z.velocities > 0)))
+
+            rng2 = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 2)))
+            logged = len(standalone_ranks)
+            with pytest.MonkeyPatch.context() as around_simulate:
+                around_simulate.setattr(particle, "draw_index", standalone_draw)
+                traj = simulate(kernel, initial, horizon, rng2, probe_times)
+            assert len(standalone_ranks) - logged == traj.event_count
+            standalone_counts.append(traj.event_count)
+            for t in probe_times:
+                standalone_plus[t].append(int(np.sum(traj.snapshots[t].velocities > 0)))
+
+    a = np.bincount(np.asarray(coupled_ranks, dtype=np.int64), minlength=n)[1:]
+    b = np.bincount(np.asarray(standalone_ranks, dtype=np.int64), minlength=n)[1:]
+    cut = tail_rank if tail_rank is not None else max(2, int(0.8 * (n - 1)))
+    table = np.stack(
+        [np.concatenate([a[:cut], [a[cut:].sum()]]), np.concatenate([b[:cut], [b[cut:].sum()]])]
+    )
+    rank_pvalue = float(stats.chi2_contingency(table).pvalue)
+
+    velocity_pvalues = {}
+    for t in probe_times:
+        diff = np.subtract(coupled_plus[t], standalone_plus[t])
+        # identical counts in every trial leave nothing to reject (the t statistic is 0/0)
+        velocity_pvalues[t] = float(stats.ttest_1samp(diff, 0.0).pvalue) if diff.any() else 1.0
+
+    count_pvalue = float(stats.mannwhitneyu(coupled_counts, standalone_counts).pvalue)
+    return MarginalReport(
+        total_events=int(sum(coupled_counts) + sum(standalone_counts)),
+        rank_pvalue=rank_pvalue,
+        velocity_pvalues=velocity_pvalues,
+        event_count_pvalue=count_pvalue,
     )
 
 

@@ -8,10 +8,15 @@ reordered parameter breaks it without breaking any other test.
 import dataclasses
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
-from topolab import coupling, experiments, ranks
-from topolab.coupling import TrialRecord
+import numpy as np
+
+from topolab import coupling, experiments, particle, ranks
+from topolab.coupling import TrialRecord, UniformReference
+from topolab.initial import InitialLaw, PositionLaw, VelocityLaw, sample_initial
+from topolab.kernels import Kernel
 from topolab.particle import Trajectory
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -97,3 +102,36 @@ def test_a_study_makes_the_calls_that_the_benchmark_times(tmp_path, monkeypatch)
             snapshot_calls = [name for name, parent in calls if parent == trial and name != "coupled_event"]
             assert snapshot_calls == ["transported", "transported", "tv_estimate", "lln_diagnostic"] * 3
     assert sum(name == "run_coupled_trial" for name, _ in calls) == 6
+
+
+def test_the_runs_draw_ranks_and_hand_over_z_through_the_wrapped_attributes(monkeypatch):
+    # the tests log ranks and Z snapshots by wrapping these module attributes
+    # (criterion 6 in tests/test_acceptance.py), so an inlined call must fail here
+    calls = Counter()
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    law = InitialLaw((PositionLaw.cosine(0.3),), VelocityLaw.two_point())
+    initial = sample_initial(law, 16, 7)
+    times = (0.25, 0.5)
+    count(coupling, "draw_index")
+    count(coupling, "tv_estimate")
+    rec = coupling.run_coupled_trial(
+        Kernel.linear(), UniformReference(law.velocity), initial, 0.5, np.random.default_rng(7),
+        times, (np.linspace(0.0, 1.0, 9), np.linspace(-1.25, 1.25, 6)),
+    )
+    assert calls == Counter(draw_index=rec.event_count, tv_estimate=len(times))
+    assert rec.event_count > 0
+
+    calls.clear()
+    count(particle, "draw_index")
+    traj = particle.simulate(Kernel.linear(), initial, 0.5, np.random.default_rng(7), times)
+    assert calls == Counter(draw_index=traj.event_count)
+    assert traj.event_count > 0

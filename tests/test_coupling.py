@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from topolab import coupling, torus
+from topolab import coupling, particle, torus
 from topolab.coupling import (
     _RESIDUAL_TOL,
     CoupledState,
@@ -164,16 +164,38 @@ def _full_rows(state, kernel, reference, alpha, i):
     return pi_n, ranks, pi_rho
 
 
-def _oracle_coupled_event(state, kernel, reference, alpha, rng, diag):
+def logged_draws(draw, log: list[int]):
+    """``draw`` (a `draw_index`) that also appends every index it returns to ``log``."""
+
+    def logged(u, cdf):
+        h = draw(u, cdf)
+        log.append(h)
+        return h
+
+    return logged
+
+
+def logged_tv_estimate(log: list[tuple]):
+    """`tv_estimate` that also appends each (t, Z configuration) it is handed to ``log``."""
+
+    def logged(config, reference, t, x_edges, v_edges):
+        log.append((t, config))
+        return tv_estimate(config, reference, t, x_edges, v_edges)
+
+    return logged
+
+
+def _oracle_coupled_event(state, kernel, reference, alpha, rng, diag, ranks_log):
     """The coupled event drawn from the full rows: partner by categorical(pi_n),
-    joint with probability lam[j] / pi_n[j].  The law the rank-first event must keep."""
+    joint with probability lam[j] / pi_n[j].  The law the rank-first event must keep.
+    The partner's rank goes to ``ranks_log``."""
     n, t = state.z.n, state.t
     i = int(rng.integers(n))
     pi_n, ranks, pi_rho = _full_rows(state, kernel, reference, alpha, i)
     lam = np.minimum(pi_n, pi_rho)
     big_lambda = float(lam.sum())
     j = categorical(rng, pi_n)
-    diag.partner_ranks.append(int(ranks[j]))
+    ranks_log.append(int(ranks[j]))
     v_z, v_sigma = state.z.velocities[j].tolist(), state.sigma.velocities[j].tolist()
     x_i = state.sigma.transported(t).positions[i]
     state.z.set_velocity(i, v_z, t)
@@ -250,14 +272,19 @@ def _event_class_tables(kernel, reference, initial, t, events):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=43, spawn_key=(int(oracle),)))
         draws = Draws(rng, n)
         classes = np.zeros((n, 3), dtype=np.int64)  # per rank: joint, sigma atom, fresh draw
-        for _ in range(events):
-            before = (diag.joint, diag.sigma_atom, diag.fresh_draw)
-            if oracle:
-                _oracle_coupled_event(state, kernel, reference, alpha, rng, diag)
-            else:
-                coupled_event(state, kernel, reference, cdf, draws, diag, record_ranks=True)
-            after = (diag.joint, diag.sigma_atom, diag.fresh_draw)
-            classes[diag.partner_ranks[-1]] += np.subtract(after, before)
+        ranks_log: list[int] = []
+        with pytest.MonkeyPatch.context() as mp:
+            # the rank-first event's rank is the one its `draw_index` returns
+            mp.setattr(coupling, "draw_index", logged_draws(coupling.draw_index, ranks_log))
+            for _ in range(events):
+                before = (diag.joint, diag.sigma_atom, diag.fresh_draw)
+                if oracle:
+                    _oracle_coupled_event(state, kernel, reference, alpha, rng, diag, ranks_log)
+                else:
+                    coupled_event(state, kernel, reference, cdf, draws, diag)
+                after = (diag.joint, diag.sigma_atom, diag.fresh_draw)
+                classes[ranks_log[-1]] += np.subtract(after, before)
+        assert len(ranks_log) == events
         tables.append(classes)
     return tables
 
@@ -414,51 +441,54 @@ def test_coupled_flags_imply_exact_equality():
         )
 
 
-def test_two_particle_consensus_probability_analytic():
+def test_two_particle_consensus_probability_analytic(monkeypatch):
     # with one partner the first event forces consensus, so the initial
-    # velocity pair survives to time t with probability exactly e^{-2t}
+    # velocity pair survives to time t with probability exactly e^{-2t}; the
+    # Z world at t is the configuration that the trial hands to tv_estimate
     kernel = Kernel.uniform()
     ref = UniformReference(VelocityLaw.two_point())
     t_probe, trials = 0.7, 3000
+    z_snapshots = []
+    monkeypatch.setattr(coupling, "tv_estimate", logged_tv_estimate(z_snapshots))
+    tv_edges = (np.linspace(0.0, 1.0, 9), V_EDGES)
     survived = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=37, spawn_key=(trial,)))
         initial = Configuration(np.array([0.2, 0.6]), np.array([-1.0, 1.0]))
-        rec = run_coupled_trial(
-            kernel, ref, initial, t_probe, rng, snapshot_times=(t_probe,), record_z_snapshots=True
-        )
-        z = rec.z_snapshots[t_probe]
+        run_coupled_trial(kernel, ref, initial, t_probe, rng, (t_probe,), tv_edges)
+        z = z_snapshots[-1][1]
         survived += int(z.velocities[0, 0] != z.velocities[1, 0])
+    assert len(z_snapshots) == trials
     expected = np.exp(-2 * t_probe)
     stderr = np.sqrt(expected * (1 - expected) / trials)
     assert abs(survived / trials - expected) < 3.5 * stderr
 
 
-def test_z_marginal_matches_standalone_rank_frequencies():
-    # the partner-rank law of the coupled Z world equals the standalone law
+def test_z_marginal_matches_standalone_rank_frequencies(monkeypatch):
+    # the partner-rank law of the coupled Z world equals the standalone law;
+    # each run's ranks are the ones its event's draw_index returns
     kernel = Kernel.linear()
     n, horizon, trials = 16, 1.0, 400
     law = uniform_law()
     ref = UniformReference(VelocityLaw.two_point())
 
-    coupled_ranks = []
-    standalone_ranks = []
+    coupled_ranks, standalone_ranks = [], []
+    events = [0, 0]
+    monkeypatch.setattr(coupling, "draw_index", logged_draws(coupling.draw_index, coupled_ranks))
     for trial in range(trials):
         initial = sample_initial(law, n, 1000 + trial)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(trial,)))
-        rec = run_coupled_trial(
-            kernel, ref, initial, horizon, rng, snapshot_times=(), record_ranks=True
-        )
-        coupled_ranks.append(rec.partner_ranks)
+        events[0] += run_coupled_trial(kernel, ref, initial, horizon, rng, ()).event_count
         rng2 = np.random.default_rng(np.random.SeedSequence(entropy=78, spawn_key=(trial,)))
-        traj = simulate(
-            kernel, sample_initial(law, n, 5000 + trial), horizon, rng2,
-            record_events=False, record_ranks=True,
-        )
-        standalone_ranks.append(traj.event_rank)
+        standalone = sample_initial(law, n, 5000 + trial)
+        # particle.categorical, which one-sided coupled events call, draws through it too
+        with monkeypatch.context() as mp:
+            mp.setattr(particle, "draw_index", logged_draws(particle.draw_index, standalone_ranks))
+            events[1] += simulate(kernel, standalone, horizon, rng2).event_count
+    assert [len(coupled_ranks), len(standalone_ranks)] == events
 
-    a = np.bincount(np.concatenate(coupled_ranks), minlength=n)[1:]
-    b = np.bincount(np.concatenate(standalone_ranks), minlength=n)[1:]
+    a = np.bincount(coupled_ranks, minlength=n)[1:]
+    b = np.bincount(standalone_ranks, minlength=n)[1:]
     keep = (a + b) > 0  # the top rank has kernel weight exactly 0
     res = stats.chi2_contingency(np.stack([a[keep], b[keep]]))
     assert res.pvalue > 0.01
@@ -492,24 +522,26 @@ def test_trial_diagnostics_equal_the_references_own(monkeypatch):
     reference = kinetic_reference(kernel, horizon=0.5, nx=64, amplitude=0.3)
     x_edges, v_edges = np.linspace(0.0, 1.0, 9), reference.grid.v_edges
     times = (0.125, 0.3, 0.5)
-    sigma_snapshots = {}
+    z_snapshots, sigma_snapshots = [], {}
 
     def lln_recorded(config, ref, t):
         sigma_snapshots[t] = config
         return lln_diagnostic(config, ref, t)
 
+    monkeypatch.setattr(coupling, "tv_estimate", logged_tv_estimate(z_snapshots))
     monkeypatch.setattr(coupling, "lln_diagnostic", lln_recorded)
     law = InitialLaw((PositionLaw.cosine(0.3),), VelocityLaw.two_point())
     rec = run_coupled_trial(
         kernel, reference, sample_initial(law, 48, 3), 0.5, np.random.default_rng(3), times,
-        (x_edges, v_edges), record_z_snapshots=True,
+        (x_edges, v_edges),
     )
     assert rec.z_only[-1] > 0  # one-sided events ask the reference at their own times
     # the store holds one entry per snapshot time and nothing for event times
     assert sorted(t for t, *_ in reference._cells) == list(times)
+    assert [t for t, _ in z_snapshots] == list(times)
     fresh = SolutionReference(reference.solution, kernel)
-    for k, t in enumerate(times):
-        assert rec.tv[k] == tv_estimate(rec.z_snapshots[t], fresh, t, x_edges, v_edges)
+    for k, (t, z) in enumerate(z_snapshots):
+        assert rec.tv[k] == tv_estimate(z, fresh, t, x_edges, v_edges)
         assert rec.lln[k] == lln_diagnostic(sigma_snapshots[t], fresh, t)
     plain = run_coupled_trial(
         kernel, reference, sample_initial(law, 48, 3), 0.5, np.random.default_rng(3), times

@@ -608,6 +608,21 @@ def test_aggregate_rows_match_the_per_value_format(tmp_path):
     assert csv_lines(tmp_path / "a.csv") == expected + [""]
 
 
+@pytest.mark.parametrize("nx", [2, experiments._CSV_BLOCK + 2])
+def test_density_rows_match_the_per_value_format(tmp_path, nx):
+    # the rows of `topolab kinetic`'s files, against the per-value ".17g" rows
+    from topolab.kinetic import GridDensity, PhaseGrid
+
+    grid = PhaseGrid(nx=nx, nv=5, v_max=1.25)
+    values = np.random.default_rng(nx).uniform(0.0, 2.0, (nx, grid.nv))
+    values[0, :4] = [0.0, 5e-324, 1.0 / 3.0, 1e300]
+    values[-1, :2] = [-0.0, 2.0 / 3.0]
+    experiments.density_to_csv(GridDensity(grid, values, t=0.7), tmp_path / "d.csv")
+    expected = [f"# schema={experiments._DENSITY_SCHEMA}", f"# nx={nx} nv=5 v_max=1.25 t=0.7"]
+    expected += [",".join(format(v, ".17g") for v in row) for row in values]
+    assert csv_lines(tmp_path / "d.csv") == expected + [""]
+
+
 def test_a_study_starts_one_pool_for_all_sizes(tmp_path, monkeypatch):
     started = []
 

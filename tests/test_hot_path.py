@@ -77,7 +77,7 @@ def test_joint_events_touch_no_whole_array(calls, monkeypatch):
 def test_standalone_events_touch_no_whole_array(calls, frozen):
     traj = simulate(
         Kernel.linear(), sample_initial(LAW, N, 6), HORIZON, np.random.default_rng(6),
-        SNAPSHOTS, frozen_positions=frozen, record_events=False,
+        SNAPSHOTS, frozen_positions=frozen,
     )
     assert traj.event_count > 500
     # moving positions are materialized at each snapshot and at the end

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from topolab import kinetic, oracle
 from topolab.oracle import (
     check_coarea,
     check_homogeneous_stationarity,
@@ -22,17 +23,21 @@ def test_fast_suite_all_green():
     assert not failures, failures
 
 
-def test_alpha_mutation_detected():
+def test_alpha_mutation_detected(monkeypatch):
     # a 1% miscalibration of the normalization constant must flip the check
     assert check_transition_normalization().passed
-    assert not check_transition_normalization(alpha_scale=1.01).passed
+    rate = oracle.rate_normalization
+    monkeypatch.setattr(oracle, "rate_normalization", lambda kernel, n: rate(kernel, n) * 1.01)
+    assert not check_transition_normalization().passed
 
 
-def test_quadrature_mutation_detected():
+def test_quadrature_mutation_detected(monkeypatch):
     # a 1% miscalibration of the gain quadrature weight must flip the check:
     # the residual jumps to ~1e-2 and stops contracting under refinement
     assert check_coarea().passed
-    assert not check_coarea(quad_scale=1.01).passed
+    weights = kinetic.gain_weights
+    monkeypatch.setattr(kinetic, "gain_weights", lambda *args: weights(*args) * 1.01)
+    assert not check_coarea().passed
 
 
 def test_individual_checks_pass():

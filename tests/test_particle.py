@@ -76,7 +76,7 @@ def test_velocity_support_conservation():
 def test_event_count_poisson_mean():
     n, horizon = 64, 20.0
     initial = sample_initial(two_point_law(), n, 5)
-    traj = simulate(Kernel.uniform(), initial, horizon, np.random.default_rng(5), record_events=False)
+    traj = simulate(Kernel.uniform(), initial, horizon, np.random.default_rng(5))
     expected = n * horizon
     assert abs(traj.event_count - expected) < 3 * np.sqrt(expected)
 
@@ -88,9 +88,7 @@ def test_event_count_dispersion():
     law = two_point_law()
     for seed in range(trials):
         initial = sample_initial(law, n, seed + 10_000)
-        traj = simulate(
-            Kernel.uniform(), initial, horizon, np.random.default_rng(seed), record_events=False
-        )
+        traj = simulate(Kernel.uniform(), initial, horizon, np.random.default_rng(seed))
         counts.append(traj.event_count)
     counts = np.asarray(counts, dtype=float)
     dispersion = counts.var(ddof=1) / counts.mean()
@@ -107,7 +105,7 @@ def test_mean_velocity_preserved_in_expectation_flat_kernel():
     for seed in range(trials):
         initial = sample_initial(law, n, seed)
         rng = np.random.default_rng(seed)
-        traj = simulate(Kernel.uniform(), initial, 1.0, rng, record_events=False)
+        traj = simulate(Kernel.uniform(), initial, 1.0, rng)
         diffs[seed] = traj.final.velocities.mean() - initial.velocities.mean()
     stderr = diffs.std(ddof=1) / np.sqrt(trials)
     assert abs(diffs.mean()) < 3 * stderr
@@ -217,7 +215,7 @@ def test_vectorized_frozen_trials_match_simulate():
     for seed in range(trials):
         initial = Configuration(config.positions.copy(), np.array([0.0, 1.0, 2.0]))
         rng = np.random.default_rng(seed + 50_000)
-        traj = simulate(kernel, initial, t, rng, frozen_positions=True, record_events=False)
+        traj = simulate(kernel, initial, t, rng, frozen_positions=True)
         key = tuple(int(v) for v in traj.final.velocities[:, 0])
         counts[index[key]] += 1
     slow = counts / trials
