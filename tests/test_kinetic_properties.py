@@ -13,6 +13,7 @@ from test_kinetic import (  # noqa: E402
     assert_same_bits,
     center_ball_masses,
     gathered_gain_weights,
+    scaled_kernel,
 )
 
 from topolab.kernels import preset_kernels  # noqa: E402
@@ -53,21 +54,22 @@ def _stale(nx: int) -> np.ndarray:
     return np.full((nx, nx), np.nan)
 
 
+@pytest.mark.parametrize("quad_scale", [1.0, 1.01])
 @pytest.mark.parametrize("preset", sorted(preset_kernels()))
 @pytest.mark.parametrize("nx", [2, 3, 1000])
-def test_gain_weights_equal_the_gather_on_the_smallest_and_a_many_block_grid(nx, preset):
+def test_gain_weights_equal_the_gather_on_the_smallest_and_a_many_block_grid(nx, preset, quad_scale):
     # nx = 1000 is written in blocks of 32 rows, the last one of 8
     grid = PhaseGrid(nx=nx, nv=1, v_max=1.0)
     rho = np.random.default_rng(nx).uniform(0.05, 2.0, nx)
     mass_fn = MassFunction(edge_cdf(rho / (rho.sum() * grid.dx), grid.dx))
-    kernel = preset_kernels()[preset]
+    kernel = scaled_kernel(preset_kernels()[preset], quad_scale)
     weights = gain_weights(mass_fn, grid, kernel, _stale(nx))
     assert_same_bits(weights, gathered_gain_weights(mass_fn, grid, kernel))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.sampled_from(sorted(preset_kernels())))
-def test_gain_weights_equal_the_gather_from_the_half_table(data, preset):
+@given(st.data(), st.sampled_from(sorted(preset_kernels())), st.sampled_from([1.0, 1.01, 0.75]))
+def test_gain_weights_equal_the_gather_from_the_half_table(data, preset, quad_scale):
     """W is the gather through the nx^2 index, bit for bit, also when written over an earlier W."""
     # above nx = 181 a block holds fewer rows than W, and the last block is short
     grid, mass_fn = data.draw(mass_functions(st.integers(2, 300)))
@@ -75,7 +77,8 @@ def test_gain_weights_equal_the_gather_from_the_half_table(data, preset):
     kernel = preset_kernels()[preset]
     weights = gain_weights(earlier, grid, kernel, _stale(grid.nx))
     assert_same_bits(weights, gathered_gain_weights(earlier, grid, kernel))
-    assert gain_weights(mass_fn, grid, kernel, weights) is weights
+    scaled = scaled_kernel(kernel, quad_scale)
+    assert gain_weights(mass_fn, grid, scaled, weights) is weights
     assert weights.flags.c_contiguous
-    assert_same_bits(weights, gathered_gain_weights(mass_fn, grid, kernel))
-    assert_same_bits(gain_weights(mass_fn, grid, kernel), weights)
+    assert_same_bits(weights, gathered_gain_weights(mass_fn, grid, scaled))
+    assert_same_bits(gain_weights(mass_fn, grid, scaled), weights)
